@@ -38,6 +38,10 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
     treated as hidden: they are revealed only for sampled instances; the
     reports additionally compare predictions on retired and remaining
     unlabeled points against the hidden labels.
+
+    The whole pool is scored once per round, after training; retirement,
+    both report accuracies and the next round's uncertainty ranking all
+    read that one probability vector.
     """
     if not pool:
         raise ValidationError("pool is empty")
@@ -54,52 +58,43 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
     net = build(arch, input_len, seed=seed)
 
     per_round = max(1, math.ceil(sample_fraction * len(pool)))
-    unlabeled = list(range(len(pool)))
-    labeled: list[int] = []
-    retired: list[int] = []
+    # Pool indices: unlabeled ascending, labeled in purchase order.
+    unlabeled = np.arange(len(pool))
+    labeled = np.empty(0, dtype=unlabeled.dtype)
+    retired = np.empty(0, dtype=unlabeled.dtype)
     report: list[dict] = []
 
     hidden = np.array([inst.label for inst in pool])
-    rounds = 0
-    while unlabeled and rounds < max_rounds:
-        take = min(per_round, len(unlabeled))
-        if uncertainty_sampling and labeled:
-            probs = predict_batch(net, [pool[i] for i in unlabeled])
-            confidence = np.maximum(probs, 1.0 - probs)
-            picked = [unlabeled[i] for i in np.argsort(confidence)[:take]]
+    confidence = None
+    while unlabeled.size and len(report) < max_rounds:
+        take = min(per_round, unlabeled.size)
+        if uncertainty_sampling and labeled.size:
+            picked = unlabeled[np.argsort(confidence[unlabeled])[:take]]
         else:
-            picked = list(rng.choice(unlabeled, size=take, replace=False))
-        picked_set = set(int(i) for i in picked)
-        unlabeled = [i for i in unlabeled if i not in picked_set]
-        labeled.extend(sorted(picked_set))
+            picked = rng.choice(unlabeled, size=take, replace=False)
+        picked = np.sort(picked)
+        unlabeled = np.setdiff1d(unlabeled, picked, assume_unique=True)
+        labeled = np.concatenate([labeled, picked])
 
         train(net, [pool[i] for i in labeled],
-              seed=seed + rounds, **train_kwargs)
+              seed=seed + len(report), **train_kwargs)
 
-        if unlabeled:
-            probs = predict_batch(net, [pool[i] for i in unlabeled])
-            confidence = np.maximum(probs, 1.0 - probs)
-            confident = confidence >= threshold
-            newly_retired = [u for u, c in zip(unlabeled, confident) if c]
-            retired.extend(newly_retired)
-            unlabeled = [u for u, c in zip(unlabeled, confident) if not c]
+        probs = predict_batch(net, pool)
+        confidence = np.maximum(probs, 1.0 - probs)
+        correct = (probs >= 0.5) == (hidden == 1)
+        confident = confidence[unlabeled] >= threshold
+        retired = np.concatenate([retired, unlabeled[confident]])
+        unlabeled = unlabeled[~confident]
 
-        rounds += 1
-        acc_labeled = evaluate(net, [pool[i] for i in labeled])
-        rest = retired + unlabeled
-        if rest:
-            probs = predict_batch(net, [pool[i] for i in rest])
-            acc_unlabeled = float(
-                ((probs >= 0.5) == (hidden[rest] == 1)).mean())
-        else:
-            acc_unlabeled = float("nan")
+        rest = np.delete(correct, labeled)  # retired and unlabeled rows
         report.append({
-            "round": rounds,
-            "labeled": len(labeled),
-            "unlabeled": len(unlabeled),
-            "retired": len(retired),
-            "labeled_accuracy": acc_labeled,
-            "unlabeled_accuracy": acc_unlabeled,
+            "round": len(report) + 1,
+            "labeled": labeled.size,
+            "unlabeled": unlabeled.size,
+            "retired": retired.size,
+            "labeled_accuracy": float(correct[labeled].mean()),
+            "unlabeled_accuracy": (float(rest.mean()) if rest.size
+                                   else float("nan")),
         })
     return net, report
 

@@ -60,7 +60,9 @@ def build(arch: Architecture | str, input_len: int, seed: int = 0,
     arch = Architecture.parse(arch) if isinstance(arch, str) else arch
     if arch is Architecture.GRU:
         if input_len % gru_step:
-            gru_step = 1
+            raise ValidationError(
+                f"input length {input_len} is not a multiple of the gru "
+                f"step {gru_step}")
         layers = [GRU(hidden_size, gru_step),
                   Dense(1, hidden_size, "sigmoid")]
     else:
@@ -91,14 +93,13 @@ def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
     return lengths
 
 
-def _stack_corpus(instances: list[EvaluationInstance], input_len: int,
-                  require_labels: bool):
+def _stack_corpus(instances: list[EvaluationInstance], require_labels: bool):
     if not instances:
         raise ValidationError("corpus is empty")
     lengths = {inst.vector.size for inst in instances}
-    if lengths != {input_len}:
+    if len(lengths) > 1:
         raise ValidationError(
-            f"instances must all have length {input_len}, saw {sorted(lengths)}")
+            f"instances must all have one length, saw {sorted(lengths)}")
     x = np.stack([inst.vector for inst in instances])
     mask = np.stack([inst.mask for inst in instances]).astype(np.float64)
     y = None
@@ -119,7 +120,7 @@ def train(net: Network, corpus: list[EvaluationInstance],
     accuracy (measured on the pre-update batch predictions). Stops early on
     perfect accuracy or a stalled loss.
     """
-    x, mask, y = _stack_corpus(corpus, net.input_len, require_labels=True)
+    x, mask, y = _stack_corpus(corpus, require_labels=True)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     log: list[dict] = []
@@ -152,18 +153,12 @@ def train(net: Network, corpus: list[EvaluationInstance],
 
 def predict(net: Network, instance: EvaluationInstance) -> float:
     """Probability that the new storage beats the old one."""
-    if instance.vector.size != net.input_len:
-        raise ShapeError(
-            f"instance length {instance.vector.size} does not match "
-            f"network input length {net.input_len}")
-    probs = net.forward(instance.vector[None, :],
-                        instance.mask[None, :].astype(np.float64))
-    return float(probs[0])
+    return float(predict_batch(net, [instance])[0])
 
 
 def predict_batch(net: Network,
                   instances: list[EvaluationInstance]) -> np.ndarray:
-    x, mask, _ = _stack_corpus(instances, net.input_len, require_labels=False)
+    x, mask, _ = _stack_corpus(instances, require_labels=False)
     chunks = [
         net.forward(x[i:i + 256], mask[i:i + 256])
         for i in range(0, x.shape[0], 256)

@@ -102,13 +102,16 @@ def generate_labeled_corpus(profile: str, count: int, seed: int,
     return header, instances
 
 
-def _write_csv(path, header_row: list[str], rows: list[list]) -> None:
+def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
+    """One CSV row per dict, in column order; floats as .9g."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header_row)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(
+            [f"{row[c]:.9g}" if isinstance(row[c], float) else row[c]
+             for c in columns] for row in rows)
 
 
 def _train_kwargs(args) -> dict:
@@ -133,9 +136,7 @@ def cmd_train(args) -> int:
     net = classifiers.build(args.arch, input_len, seed=args.seed)
     log = classifiers.train(net, corpus, seed=args.seed,
                             **_train_kwargs(args))
-    _write_csv(args.out, ["epoch", "loss", "accuracy"],
-               [[row["epoch"], f"{row['loss']:.9g}",
-                 f"{row['accuracy']:.9g}"] for row in log])
+    _write_csv(args.out, ["epoch", "loss", "accuracy"], log)
     if args.params_out:
         nn.save_network(net, args.params_out)
     print(f"trained {args.arch} for {len(log)} epochs, "
@@ -152,10 +153,7 @@ def cmd_active(args) -> int:
         train_kwargs=_train_kwargs(args))
     _write_csv(args.out,
                ["round", "labeled", "unlabeled", "retired",
-                "labeled_accuracy", "unlabeled_accuracy"],
-               [[r["round"], r["labeled"], r["unlabeled"], r["retired"],
-                 f"{r['labeled_accuracy']:.9g}",
-                 f"{r['unlabeled_accuracy']:.9g}"] for r in report])
+                "labeled_accuracy", "unlabeled_accuracy"], report)
     if args.params_out:
         nn.save_network(net, args.params_out)
     last = report[-1]
@@ -171,8 +169,7 @@ def cmd_sweep(args) -> int:
         corpus, args.arch, fractions, seed=args.seed,
         train_kwargs=_train_kwargs(args))
     _write_csv(args.out, ["fraction", "train_accuracy", "test_accuracy"],
-               [[f"{r['fraction']:.9g}", f"{r['train_accuracy']:.9g}",
-                 f"{r['test_accuracy']:.9g}"] for r in rows])
+               rows)
     print(f"sweep over {len(rows)} fractions written to {args.out}")
     return EXIT_OK
 
@@ -182,10 +179,9 @@ def cmd_cv(args) -> int:
     result = active_mod.cross_validate(corpus, args.arch, args.folds,
                                        seed=args.seed,
                                        train_kwargs=_train_kwargs(args))
-    rows = [[i, f"{acc:.9g}"]
+    rows = [{"fold": i, "accuracy": acc}
             for i, acc in enumerate(result["fold_accuracies"])]
-    rows.append(["mean", f"{result['mean']:.9g}"])
-    rows.append(["std", f"{result['std']:.9g}"])
+    rows += [{"fold": key, "accuracy": result[key]} for key in ("mean", "std")]
     _write_csv(args.out, ["fold", "accuracy"], rows)
     print(f"cv mean {result['mean']:.4f} std {result['std']:.4f}")
     return EXIT_OK
@@ -206,14 +202,17 @@ def cmd_bench(args) -> int:
         for inst in sample:
             classifiers.predict(net, inst)
         mean = (time.perf_counter() - start) / len(sample)
-        rows.append([arch.value, f"{mean:.9g}"])
+        rows.append({"arch": arch.value, "mean_seconds": mean})
         print(f"{arch.value}: {mean * 1e3:.2f} ms/prediction")
     _write_csv(args.out, ["arch", "mean_seconds"], rows)
     return EXIT_OK
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("AAE_SEED", "0"))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, corpus=True, training=True):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        # A string default goes through type=int, so a bad AAE_SEED is a
+        # usage error.
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("AAE_SEED", "0"))
         p.add_argument("--out", required=True)
         if corpus:
             p.add_argument("--corpus", required=True)
@@ -233,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--arch", default="scnn",
                            choices=[a.value for a in
                                     classifiers.Architecture])
-            p.add_argument("--epochs", type=int,
+            p.add_argument("--epochs", type=_positive_int,
                            default=classifiers.DEFAULT_EPOCHS)
-            p.add_argument("--batch-size", type=int,
+            p.add_argument("--batch-size", type=_positive_int,
                            default=classifiers.DEFAULT_BATCH_SIZE)
             p.add_argument("--lr", type=float,
                            default=classifiers.DEFAULT_LEARNING_RATE)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--sample-fraction", type=float, default=0.1)
-    p.add_argument("--max-rounds", type=int, default=20)
+    p.add_argument("--max-rounds", type=_positive_int, default=20)
     p.add_argument("--uncertainty", action="store_true",
                    help="sample lowest-confidence points instead of "
                         "uniformly")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure mean prediction latency")
     common(p, training=False)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_positive_int, default=50)
     p.set_defaults(func=cmd_bench)
 
     return parser

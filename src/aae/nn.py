@@ -495,32 +495,35 @@ def load_network(path) -> Network:
     try:
         header = json.loads(lines[1])
         layers = [_LAYER_BUILDERS[s["kind"]](s) for s in header["layers"]]
-    except (IndexError, KeyError, json.JSONDecodeError) as exc:
+        net = Network(layers, arch=header["arch"],
+                      input_len=header["input_len"], seed=header["seed"])
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc
-    net = Network(layers, arch=header["arch"], input_len=header["input_len"],
-                  seed=header["seed"])
 
-    idx = 2
-    lineno = 3
-    while idx < len(lines):
-        parts = lines[idx].split()
-        if not parts:
-            idx += 1
-            lineno += 1
-            continue
-        if parts[0] != "tensor" or len(parts) < 3:
-            raise ParseError(f"expected tensor header, got {lines[idx]!r}",
-                             line=lineno)
-        layer_idx = int(parts[1])
-        name = parts[2]
-        shape = tuple(int(d) for d in parts[3:])
-        values = np.array([float(v) for v in lines[idx + 1].split()])
-        if values.size != int(np.prod(shape)):
+    # Exactly the network's tensors, in order: a header line, then values.
+    tensors = net.parameter_tensors()
+    for k, (layer_idx, name, value) in enumerate(tensors):
+        lineno = 3 + 2 * k  # 1-based number of the tensor's header line
+        expected = f"tensor {layer_idx} {name} " + " ".join(
+            str(d) for d in value.shape)
+        if lineno > len(lines):
+            raise ParseError(f"missing {expected!r}", line=lineno)
+        if lines[lineno - 1].split() != expected.split():
+            raise ParseError(f"expected {expected!r}, got "
+                             f"{lines[lineno - 1]!r}", line=lineno)
+        text = lines[lineno] if lineno < len(lines) else ""
+        try:
+            values = np.array([float(v) for v in text.split()])
+        except ValueError as exc:
+            raise ParseError(f"bad values for tensor {layer_idx} {name}: "
+                             f"{exc}", line=lineno + 1) from exc
+        if values.size != value.size:
             raise ParseError(
-                f"tensor {name} expects {int(np.prod(shape))} values, "
+                f"tensor {layer_idx} {name} expects {value.size} values, "
                 f"got {values.size}", line=lineno + 1)
-        target = getattr(net.layers[layer_idx], name)
-        target[...] = values.reshape(shape)
-        idx += 2
-        lineno += 2
+        value[...] = values.reshape(value.shape)
+    end = 2 + 2 * len(tensors)
+    if len(lines) > end:
+        raise ParseError(f"unexpected line after the last tensor: "
+                         f"{lines[end]!r}", line=end + 1)
     return net

@@ -69,6 +69,11 @@ class TestBuild:
         assert isinstance(net.layers[0], GRU)
         assert net.uses_mask
 
+    def test_gru_step_must_divide_input_length(self):
+        with pytest.raises(ValidationError) as exc:
+            build("gru", 100, gru_step=8)
+        assert "100" in str(exc.value) and "8" in str(exc.value)
+
     def test_too_small_input_names_layer(self):
         with pytest.raises(ShapeError) as exc:
             build("scnn", 8)

@@ -79,6 +79,23 @@ class TestGen:
         assert header["seed"] == 7
 
 
+@pytest.mark.parametrize("argv,env_seed", [
+    (["train", "--epochs", "0"], None),
+    (["train", "--batch-size", "0"], None),
+    (["active", "--max-rounds", "0"], None),
+    (["bench", "--count", "0"], None),
+    (["train"], "abc"),
+])
+def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
+                              monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv("AAE_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--corpus", corpus_path, "--out", str(tmp_path / "o.csv"))
+    assert exc.value.code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_log_and_params(self, corpus_path, tmp_path):
         log = tmp_path / "log.csv"

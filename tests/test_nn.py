@@ -180,8 +180,9 @@ def small_conv_network(seed=0, length=16):
     return net
 
 
-def small_gru_network(seed=0, length=5, hidden=4):
-    net = Network([GRU(hidden), Dense(1, hidden, activation="sigmoid")],
+def small_gru_network(seed=0, length=5, hidden=4, step=1):
+    net = Network([GRU(hidden, input_size=step),
+                   Dense(1, hidden, activation="sigmoid")],
                   arch="test-gru", input_len=length, seed=seed)
     net.initialize()
     return net
@@ -226,6 +227,14 @@ class TestBackward:
         mask = np.ones((2, 5))
         mask[0, 3:] = 0
         y = rng.integers(0, 2, size=2).astype(float)
+        check_gradients(net, x, mask, y)
+
+        # Vector timesteps, as the shipped GRU runs them: Network.forward
+        # chunks a length-20 input into 5 steps of 4 scalars.
+        net = small_gru_network(seed=seed, length=20, step=4)
+        x = rng.normal(size=(2, 20))
+        mask = np.ones((2, 20))
+        mask[0, 10:] = 0
         check_gradients(net, x, mask, y)
 
     def test_zero_logit_head_gradient(self):
@@ -311,6 +320,21 @@ class TestSerialization:
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
-        path.write_text("something else\n")
-        with pytest.raises(ParseError):
-            load_network(path)
+        save_network(small_conv_network(seed=5), path)
+        lines = path.read_text().splitlines()
+        bias = lines.index("tensor 0 b 3")
+        bad_files = {
+            "wrong tag": (["something else"], 1),
+            "header only": (lines[:2], 3),
+            "ends after a tensor header": (lines[:3], 4),
+            "bias saved with shape 1": (
+                lines[:bias] + ["tensor 0 b 1", "0"] + lines[bias + 2:],
+                bias + 1),
+            "garbled values": (lines[:3] + ["1 2 x"] + lines[4:], 4),
+            "extra tensor": (lines + lines[2:4], len(lines) + 1),
+        }
+        for name, (content, line) in bad_files.items():
+            path.write_text("\n".join(content) + "\n")
+            with pytest.raises(ParseError) as exc:
+                load_network(path)
+            assert exc.value.line == line, name
