@@ -9,10 +9,10 @@ from .errors import ShapeError, ValidationError
 from .features import EvaluationInstance
 from .nn import GRU, Conv1D, Dense, Flatten, MaxPool1D, Network
 
-DEFAULT_HIDDEN_SIZE = 32
+HIDDEN_SIZE = 32
 # Scalars fed to the GRU per timestep. Chunking keeps the sequence short
 # enough for plain SGD to carry gradients across the whole feature vector.
-DEFAULT_GRU_STEP = 8
+GRU_STEP = 8
 DEFAULT_EPOCHS = 50
 DEFAULT_BATCH_SIZE = 32
 DEFAULT_LEARNING_RATE = 0.01
@@ -53,42 +53,39 @@ def _conv_stack(deep: bool) -> list:
     return layers
 
 
-def build(arch: Architecture | str, input_len: int, seed: int = 0,
-          hidden_size: int = DEFAULT_HIDDEN_SIZE,
-          gru_step: int = DEFAULT_GRU_STEP) -> Network:
+def build(arch: Architecture | str, input_len: int, seed: int = 0) -> Network:
     """Construct and initialize one architecture for a fixed input length."""
     arch = Architecture.parse(arch) if isinstance(arch, str) else arch
     if arch is Architecture.GRU:
-        if input_len % gru_step:
+        if input_len % GRU_STEP:
             raise ValidationError(
                 f"input length {input_len} is not a multiple of the gru "
-                f"step {gru_step}")
-        layers = [GRU(hidden_size, gru_step),
-                  Dense(1, hidden_size, "sigmoid")]
+                f"step {GRU_STEP}")
+        layers = [GRU(HIDDEN_SIZE, GRU_STEP),
+                  Dense(1, HIDDEN_SIZE, "sigmoid")]
     else:
-        stack = _conv_stack(deep=arch is Architecture.DCNN)
-        length = input_len
-        for i, layer in enumerate(stack):
-            try:
-                length = layer.output_length(length)
-            except ShapeError as exc:
-                raise ShapeError(
-                    f"{arch.value} layer {i} ({layer.kind}): {exc}") from exc
-        layers = stack + [Flatten(), Dense(1, 16 * length, "sigmoid")]
+        length = conv_output_lengths(arch, input_len)[-1]
+        layers = _conv_stack(deep=arch is Architecture.DCNN) + [
+            Flatten(), Dense(1, 16 * length, "sigmoid")]
     net = Network(layers, arch=arch.value, input_len=input_len, seed=seed)
     net.initialize()
     return net
 
 
 def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
-    """Per-layer output lengths of the conv/pool stack, for inspection."""
+    """Per-layer output lengths of the conv/pool stack; an input too short
+    for a layer raises ShapeError naming that layer."""
     arch = Architecture.parse(arch) if isinstance(arch, str) else arch
     if arch is Architecture.GRU:
         raise ValidationError("the GRU architecture has no conv stack")
     lengths = []
     length = input_len
-    for layer in _conv_stack(deep=arch is Architecture.DCNN):
-        length = layer.output_length(length)
+    for i, layer in enumerate(_conv_stack(deep=arch is Architecture.DCNN)):
+        try:
+            length = layer.output_length(length)
+        except ShapeError as exc:
+            raise ShapeError(
+                f"{arch.value} layer {i} ({layer.kind}): {exc}") from exc
         lengths.append(length)
     return lengths
 

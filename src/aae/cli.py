@@ -45,12 +45,10 @@ def _mutate_storage(rng: np.random.Generator,
         for b in s_old.index_bits
     ]
     if engine == s_old.engine and tuple(bits) == s_old.index_bits:
-        # Force a real change so old and new never coincide.
-        if bits:
-            flip = int(rng.integers(0, len(bits)))
-            bits[flip] = 1 - bits[flip]
-        else:
-            engine = features.ENGINES[1 - features.ENGINES.index(engine)]
+        # Force a real change so old and new never coincide; GraphStats
+        # guarantees at least one property type, so there is a bit to flip.
+        flip = int(rng.integers(0, len(bits)))
+        bits[flip] = 1 - bits[flip]
     return features.StorageConfig(engine=engine, index_bits=tuple(bits))
 
 
@@ -132,8 +130,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     _, corpus = features.read_corpus(args.corpus)
-    input_len = corpus[0].vector.size
-    net = classifiers.build(args.arch, input_len, seed=args.seed)
+    if not corpus:
+        raise ValidationError(f"{args.corpus} holds no instances")
+    net = classifiers.build(args.arch, corpus[0].vector.size, seed=args.seed)
     log = classifiers.train(net, corpus, seed=args.seed,
                             **_train_kwargs(args))
     _write_csv(args.out, ["epoch", "loss", "accuracy"], log)
@@ -164,9 +163,8 @@ def cmd_active(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, corpus = features.read_corpus(args.corpus)
-    fractions = [float(f) for f in args.fractions.split(",") if f]
     rows = active_mod.train_fraction_sweep(
-        corpus, args.arch, fractions, seed=args.seed,
+        corpus, args.arch, args.fractions, seed=args.seed,
         train_kwargs=_train_kwargs(args))
     _write_csv(args.out, ["fraction", "train_accuracy", "test_accuracy"],
                rows)
@@ -213,6 +211,10 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _fractions(text: str) -> list[float]:
+    return [float(f) for f in text.split(",") if f]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train-fraction sweep")
     common(p)
-    p.add_argument("--fractions", default="0.41,0.49,0.58")
+    p.add_argument("--fractions", type=_fractions, default="0.41,0.49,0.58")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cv", help="k-fold cross-validation")
@@ -292,9 +294,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except AAEError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -136,17 +136,21 @@ def instance_from_record(line: str, lineno: int | None = None) -> EvaluationInst
     try:
         record = json.loads(line)
         vector = np.array(record["vector"], dtype=np.float64)
-        mask = np.array(record["mask"], dtype=np.int8)
+        mask = np.array(record["mask"], dtype=np.float64)
         label = record["label"]
         provenance = record.get("provenance", {})
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad instance record: {exc}", line=lineno) from exc
     if vector.shape != mask.shape:
         raise ParseError("vector and mask lengths differ", line=lineno)
+    if not np.isfinite(vector).all():
+        raise ParseError("vector holds a non-finite value", line=lineno)
+    if not np.array_equal(mask, np.arange(mask.size) < mask.sum()):
+        raise ParseError("mask must be 1s followed by 0s", line=lineno)
     if label is not None and label not in (0, 1):
         raise ParseError(f"label must be 0/1/null, got {label!r}", line=lineno)
-    return EvaluationInstance(vector=vector, mask=mask, label=label,
-                             provenance=provenance)
+    return EvaluationInstance(vector=vector, mask=mask.astype(np.int8),
+                              label=label, provenance=provenance)
 
 
 def write_corpus(path, header: dict, instances) -> None:
@@ -168,8 +172,14 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
         raise ParseError(f"bad corpus header: {exc}", line=1) from exc
     if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
         raise ParseError("missing aae-corpus-v1 header", line=1)
-    instances = [
-        instance_from_record(line, lineno=i + 2)
-        for i, line in enumerate(lines[1:]) if line
-    ]
+    instances = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        inst = instance_from_record(line, lineno=lineno)
+        if instances and inst.vector.size != instances[0].vector.size:
+            raise ParseError(
+                f"record has length {inst.vector.size}, the first record "
+                f"has {instances[0].vector.size}", line=lineno)
+        instances.append(inst)
     return header, instances

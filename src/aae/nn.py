@@ -5,6 +5,15 @@ pooling, flatten, dense, and a masked GRU. All layers operate on a leading
 batch axis; gradients from a backward pass are summed over the batch and
 divided by the batch size by the loss, so sgd averages over the batch.
 
+Layer inputs: Conv1D and MaxPool1D take (batch, channels, length), Dense
+takes (batch, features), and GRU takes (batch, steps, input_size) with a
+(batch, steps) prefix mask. Network.forward takes flat (batch, input_len)
+vectors and a mask of the same shape; it adds the channel axis before the
+first Conv1D and cuts the vector into input_size-wide steps before a GRU.
+Each layer defines forward and backward (Dense also backward_preact) on its
+own class, with no shared base: the benchmark tracer patches these class
+attributes by name.
+
 Conventions (frozen): valid padding, stride 1 convolutions; pool stride =
 pool size with the trailing remainder dropped; max-pool ties break to the
 lowest index; initialization is uniform in +/-sqrt(6/(fan_in+fan_out)) with
@@ -209,12 +218,10 @@ class Dense:
         return self._cache[1]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, _, y = self._cache
         if self.activation == "sigmoid":
-            dz = dy * y * (1.0 - y)
-        else:
-            dz = dy
-        return self._backward_from_preact(dz, x)
+            y = self._cache[2]
+            dy = dy * y * (1.0 - y)
+        return self.backward_preact(dy)
 
     def backward_preact(self, dz: np.ndarray) -> np.ndarray:
         """Backward given the gradient w.r.t. the pre-activation.
@@ -223,9 +230,6 @@ class Dense:
         cross-entropy gradient for numerical stability.
         """
         x = self._cache[0]
-        return self._backward_from_preact(dz, x)
-
-    def _backward_from_preact(self, dz, x):
         self.dW = dz.T @ x
         self.db = dz.sum(axis=0)
         return dz @ self.W
@@ -242,10 +246,10 @@ class Dense:
 class GRU:
     """GRU over a masked sequence, honoring right padding.
 
-    Timesteps carry `input_size` scalars (1 = plain scalar sequence). Steps
-    whose mask is 0 copy the hidden state unchanged; steps where the whole
-    batch is masked are skipped outright. Weights act on the concatenation
-    [h_prev, x_t], so each matrix is (H, H+input_size).
+    Timesteps carry `input_size` scalars. Steps whose mask is 0 copy the
+    hidden state unchanged; trailing steps where the whole batch is masked
+    are skipped outright. Weights act on the concatenation [h_prev, x_t],
+    so each matrix is (H, H+input_size).
     """
 
     kind = "gru"
@@ -280,36 +284,21 @@ class GRU:
         self.br = np.zeros(h)
         self.bh = np.zeros(h)
 
-    @staticmethod
-    def validate_mask(mask: np.ndarray) -> None:
-        if mask.ndim == 1:
-            mask = mask[None, :]
-        if np.any(mask[:, 1:] > mask[:, :-1]):
-            raise ValidationError(
-                "mask must be a prefix of 1s followed by 0s")
-
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            if self.input_size != 1:
-                raise ShapeError(
-                    f"gru with input_size {self.input_size} expects "
-                    f"(batch, T, {self.input_size}), got {x.shape}")
-            x = x[:, :, None]
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(
                 f"gru expects (batch, T, {self.input_size}), got {x.shape}")
         if mask.shape != x.shape[:2]:
             raise ShapeError("mask shape must match the sequence steps")
-        self.validate_mask(mask)
-        batch, steps = x.shape[:2]
-        h = np.zeros((batch, self.hidden_size))
+        if np.any(mask[:, 1:] > mask[:, :-1]):
+            raise ValidationError(
+                "mask must be a prefix of 1s followed by 0s")
+        h = np.zeros((x.shape[0], self.hidden_size))
         cache = []
         mask = mask.astype(np.float64)
-        for t in range(steps):
+        # Masks are prefixes, so the steps any row uses come first.
+        for t in range(int(mask.any(axis=0).sum())):
             m = mask[:, t:t + 1]
-            if not m.any():
-                cache.append(None)
-                continue
             h_prev = h
             xt = x[:, t, :]
             cat = np.concatenate([h_prev, xt], axis=1)
@@ -331,10 +320,7 @@ class GRU:
         self.dbr = np.zeros_like(self.br)
         self.dbh = np.zeros_like(self.bh)
         hidden = self.hidden_size
-        for entry in reversed(self._cache):
-            if entry is None:
-                continue
-            m, h_prev, cat, cat_h, z, r, h_cand = entry
+        for m, h_prev, cat, cat_h, z, r, h_cand in reversed(self._cache):
             dh_step = dh * m
             dh_prev = dh * (1.0 - m) + dh_step * (1.0 - z)
 
@@ -383,10 +369,6 @@ class Network:
         for layer in self.layers:
             layer.init(rng)
 
-    @property
-    def uses_mask(self) -> bool:
-        return any(isinstance(layer, GRU) for layer in self.layers)
-
     def forward(self, x: np.ndarray,
                 mask: np.ndarray | None = None) -> np.ndarray:
         """Probabilities in (0, 1), one per batch row."""
@@ -396,21 +378,20 @@ class Network:
         out = x
         for layer in self.layers:
             if isinstance(layer, GRU):
-                if mask is None:
-                    raise ValidationError("this network requires a mask")
+                if mask is None or mask.shape != x.shape:
+                    raise ShapeError(
+                        f"this network needs a mask of shape {x.shape}")
+                # Chunk the flat vector into vector timesteps; a chunk
+                # counts as real if any of its entries is real.
+                batch, length = out.shape
                 step = layer.input_size
-                if step > 1:
-                    # Chunk the flat vector into vector timesteps; a chunk
-                    # counts as real if any of its entries is real.
-                    batch, length = out.shape
-                    if length % step:
-                        raise ShapeError(
-                            f"input length {length} not divisible by the "
-                            f"gru step size {step}")
-                    out = out.reshape(batch, length // step, step)
-                    mask = mask.reshape(batch, length // step, step).max(
-                        axis=2)
-                out = layer.forward(out, mask)
+                if length % step:
+                    raise ShapeError(
+                        f"input length {length} not divisible by the "
+                        f"gru step size {step}")
+                out = layer.forward(
+                    out.reshape(batch, length // step, step),
+                    mask.reshape(batch, length // step, step).max(axis=2))
             elif isinstance(layer, Conv1D) and out.ndim == 2:
                 out = layer.forward(out[:, None, :])
             else:
@@ -458,14 +439,9 @@ class Network:
 
 _FORMAT_TAG = "aae-net-v1"
 
-_LAYER_BUILDERS = {
-    "conv1d": lambda s: Conv1D(s["filters"], s["kernel_size"],
-                               s["in_channels"], s["activation"]),
-    "maxpool1d": lambda s: MaxPool1D(s["pool_size"]),
-    "flatten": lambda s: Flatten(),
-    "dense": lambda s: Dense(s["units"], s["in_features"], s["activation"]),
-    "gru": lambda s: GRU(s["hidden_size"], s.get("input_size", 1)),
-}
+# Each layer's spec() lists exactly its constructor's arguments.
+_LAYER_CLASSES = {cls.kind: cls for cls in (Conv1D, MaxPool1D, Flatten,
+                                            Dense, GRU)}
 
 
 def save_network(net: Network, path) -> None:
@@ -494,10 +470,13 @@ def load_network(path) -> Network:
         raise ParseError(f"not an {_FORMAT_TAG} file", line=1)
     try:
         header = json.loads(lines[1])
-        layers = [_LAYER_BUILDERS[s["kind"]](s) for s in header["layers"]]
+        layers = [_LAYER_CLASSES[s["kind"]](
+                      **{k: v for k, v in s.items() if k != "kind"})
+                  for s in header["layers"]]
         net = Network(layers, arch=header["arch"],
                       input_len=header["input_len"], seed=header["seed"])
-    except (IndexError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError,
+            ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc
 
     # Exactly the network's tensors, in order: a header line, then values.

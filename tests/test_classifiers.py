@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from aae import classifiers
 from aae.classifiers import (
@@ -13,7 +15,7 @@ from aae.classifiers import (
 )
 from aae.errors import ShapeError, ValidationError
 from aae.features import EvaluationInstance
-from aae.nn import GRU, Conv1D
+from aae.nn import GRU, Conv1D, load_network, save_network
 
 
 def make_instance(rng, length=64, real=44, label=None):
@@ -67,11 +69,11 @@ class TestBuild:
     def test_gru_architecture(self):
         net = build("gru", 256)
         assert isinstance(net.layers[0], GRU)
-        assert net.uses_mask
+        assert net.layers[0].input_size == classifiers.GRU_STEP
 
     def test_gru_step_must_divide_input_length(self):
         with pytest.raises(ValidationError) as exc:
-            build("gru", 100, gru_step=8)
+            build("gru", 100)
         assert "100" in str(exc.value) and "8" in str(exc.value)
 
     def test_too_small_input_names_layer(self):
@@ -91,6 +93,29 @@ class TestBuild:
             mask = np.ones((3, 128))
             probs = net.forward(x, mask)
             assert probs.shape == (3,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(arch=st.sampled_from(list(Architecture)),
+           input_len=st.integers(1, 320), seed=st.integers(0, 2**16),
+           real=st.floats(0.0, 1.0))
+    def test_save_load_roundtrip(self, tmp_path_factory, arch, input_len,
+                                 seed, real):
+        try:
+            net = build(arch, input_len, seed=seed)
+        except (ShapeError, ValidationError):
+            reject()
+        path = tmp_path_factory.mktemp("net") / "net.txt"
+        save_network(net, path)
+        back = load_network(path)
+        for (i, name, va), (j, name_b, vb) in zip(net.parameter_tensors(),
+                                                  back.parameter_tensors(),
+                                                  strict=True):
+            assert (i, name) == (j, name_b)
+            assert np.array_equal(va, vb)
+        x = np.random.default_rng(seed).normal(size=(2, input_len))
+        mask = np.zeros((2, input_len))
+        mask[:, :round(real * input_len)] = 1
+        assert np.array_equal(back.forward(x, mask), net.forward(x, mask))
 
 
 class TestTrain:

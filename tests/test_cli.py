@@ -85,6 +85,7 @@ class TestGen:
     (["active", "--max-rounds", "0"], None),
     (["bench", "--count", "0"], None),
     (["train"], "abc"),
+    (["sweep", "--fractions", "0.5,abc"], None),
 ])
 def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
                               monkeypatch, capsys):
@@ -93,6 +94,18 @@ def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--corpus", corpus_path, "--out", str(tmp_path / "o.csv"))
     assert exc.value.code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "active", "sweep", "cv",
+                                     "bench"])
+def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    with open(corpus_path) as fh:
+        empty.write_text(fh.readline())
+    code = run(command, "--corpus", str(empty), "--out",
+               str(tmp_path / "o.csv"))
+    assert code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
 
 

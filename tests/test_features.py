@@ -219,8 +219,25 @@ class TestCorpusSerialization:
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text(
-            json.dumps({"format": "aae-corpus-v1"}) + "\n{broken\n")
-        with pytest.raises(ParseError) as exc:
-            read_corpus(path)
-        assert exc.value.line == 2
+        good = json.loads(instance_to_record(self.make_instance()))
+        vector, mask = good["vector"], good["mask"]
+        real = sum(mask)
+
+        def record(**fields):
+            return json.dumps({**good, **fields})
+
+        bad_records = {
+            "not json": "{broken",
+            "nan vector entry": record(vector=[math.nan] + vector[1:]),
+            "mask value 2": record(mask=[2] + mask[1:]),
+            "mask not a prefix": record(
+                mask=mask[:real - 1] + [0, 1] + mask[real + 1:]),
+            "shorter than the first": record(vector=vector[:-1],
+                                             mask=mask[:-1]),
+        }
+        header = json.dumps({"format": "aae-corpus-v1"})
+        for name, bad in bad_records.items():
+            path.write_text("\n".join([header, record(), bad]) + "\n")
+            with pytest.raises(ParseError) as exc:
+                read_corpus(path)
+            assert exc.value.line == 3, name

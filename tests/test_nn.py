@@ -113,20 +113,20 @@ class TestDense:
 class TestGRU:
     def test_zero_weights_keep_zero_state(self):
         gru = GRU(3)
-        x = np.random.default_rng(0).normal(size=(2, 6))
+        x = np.random.default_rng(0).normal(size=(2, 6, 1))
         out = gru.forward(x, np.ones((2, 6)))
         assert np.all(out == 0.0)
 
     def test_all_masked_returns_initial_state(self):
         gru = init_layer(GRU(3))
-        x = np.random.default_rng(0).normal(size=(1, 4))
+        x = np.random.default_rng(0).normal(size=(1, 4, 1))
         out = gru.forward(x, np.zeros((1, 4)))
         assert np.all(out == 0.0)
 
     def test_matches_stepwise_recurrence(self):
         rng = np.random.default_rng(9)
         gru = init_layer(GRU(2), seed=9)
-        x = rng.normal(size=(1, 3))
+        x = rng.normal(size=(1, 3, 1))
         out = gru.forward(x, np.ones((1, 3)))
 
         def sig(v):
@@ -134,17 +134,17 @@ class TestGRU:
 
         h = np.zeros(2)
         for t in range(3):
-            cat = np.concatenate([h, x[0, t:t + 1]])
+            cat = np.concatenate([h, x[0, t]])
             z = sig(gru.Wz @ cat + gru.bz)
             r = sig(gru.Wr @ cat + gru.br)
-            cat_h = np.concatenate([r * h, x[0, t:t + 1]])
+            cat_h = np.concatenate([r * h, x[0, t]])
             h_cand = np.tanh(gru.Wh @ cat_h + gru.bh)
             h = (1 - z) * h + z * h_cand
         assert out[0] == pytest.approx(h)
 
     def test_masked_steps_copy_state(self):
         gru = init_layer(GRU(4), seed=1)
-        x = np.random.default_rng(2).normal(size=(1, 8))
+        x = np.random.default_rng(2).normal(size=(1, 8, 1))
         mask_short = np.zeros((1, 8))
         mask_short[0, :5] = 1
         padded = gru.forward(x, mask_short)
@@ -155,13 +155,18 @@ class TestGRU:
         gru = init_layer(GRU(2))
         mask = np.array([[1.0, 0.0, 1.0]])
         with pytest.raises(ValidationError):
-            gru.forward(np.zeros((1, 3)), mask)
+            gru.forward(np.zeros((1, 3, 1)), mask)
 
     def test_vector_timesteps(self):
         gru = init_layer(GRU(3, input_size=4), seed=4)
         x = np.random.default_rng(0).normal(size=(2, 5, 4))
         out = gru.forward(x, np.ones((2, 5)))
         assert out.shape == (2, 3)
+
+    def test_network_input_not_multiple_of_step(self):
+        net = small_gru_network(length=10, step=4)
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros((1, 10)), np.ones((1, 10)))
 
 
 def small_conv_network(seed=0, length=16):
@@ -332,6 +337,13 @@ class TestSerialization:
                 bias + 1),
             "garbled values": (lines[:3] + ["1 2 x"] + lines[4:], 4),
             "extra tensor": (lines + lines[2:4], len(lines) + 1),
+            "unknown layer field": (
+                [lines[0], lines[1].replace('"pool_size":2',
+                                            '"pool_size":2,"stride":2')]
+                + lines[2:], 2),
+            "pool size 0": (
+                [lines[0], lines[1].replace('"pool_size":2', '"pool_size":0')]
+                + lines[2:], 2),
         }
         for name, (content, line) in bad_files.items():
             path.write_text("\n".join(content) + "\n")
