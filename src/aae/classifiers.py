@@ -5,7 +5,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import DivergenceError, ShapeError, ValidationError
 from .features import EvaluationInstance
 from .nn import GRU, Conv1D, Dense, Flatten, MaxPool1D, Network
 
@@ -115,7 +115,8 @@ def train(net: Network, corpus: list[EvaluationInstance],
 
     Returns one log entry per epoch: epoch index, mean loss, and training
     accuracy (measured on the pre-update batch predictions). Stops early on
-    perfect accuracy or a stalled loss.
+    perfect accuracy or a stalled loss; raises DivergenceError when an
+    epoch's mean loss is not finite.
     """
     x, mask, y = _stack_corpus(corpus, require_labels=True)
     rng = np.random.default_rng(seed)
@@ -134,6 +135,9 @@ def train(net: Network, corpus: list[EvaluationInstance],
             total_loss += loss * idx.size
             correct += int(((probs >= 0.5) == (y[idx] == 1)).sum())
         mean_loss = total_loss / n
+        if not np.isfinite(mean_loss):
+            raise DivergenceError(
+                f"training diverged: epoch {epoch} mean loss is {mean_loss}")
         accuracy = correct / n
         log.append({"epoch": epoch, "loss": mean_loss, "accuracy": accuracy})
         if accuracy >= 1.0:

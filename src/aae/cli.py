@@ -213,6 +213,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
+
+
 def _fractions(text: str) -> list[float]:
     return [float(f) for f in text.split(",") if f]
 
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=classifiers.DEFAULT_EPOCHS)
             p.add_argument("--batch-size", type=_positive_int,
                            default=classifiers.DEFAULT_BATCH_SIZE)
-            p.add_argument("--lr", type=float,
+            p.add_argument("--lr", type=_positive_float,
                            default=classifiers.DEFAULT_LEARNING_RATE)
 
     p = sub.add_parser("gen", help="generate an oracle-labeled corpus")

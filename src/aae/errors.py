@@ -32,6 +32,10 @@ class ShapeError(AAEError):
     """Tensor shapes are inconsistent with the layer chain."""
 
 
+class DivergenceError(AAEError):
+    """Training produced a non-finite loss."""
+
+
 class ParseError(AAEError):
     """A corpus, trace, or params file is malformed."""
 

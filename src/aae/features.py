@@ -147,7 +147,7 @@ def instance_from_record(line: str, lineno: int | None = None) -> EvaluationInst
         raise ParseError("vector holds a non-finite value", line=lineno)
     if not np.array_equal(mask, np.arange(mask.size) < mask.sum()):
         raise ParseError("mask must be 1s followed by 0s", line=lineno)
-    if label is not None and label not in (0, 1):
+    if label is not None and (isinstance(label, bool) or label not in (0, 1)):
         raise ParseError(f"label must be 0/1/null, got {label!r}", line=lineno)
     return EvaluationInstance(vector=vector, mask=mask.astype(np.int8),
                               label=label, provenance=provenance)
@@ -173,13 +173,17 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
     if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
         raise ParseError("missing aae-corpus-v1 header", line=1)
     instances = []
+    # Every record has the header's max_len or, without one, the first
+    # record's length.
+    length, source = header.get("max_len"), "the header's max_len"
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         inst = instance_from_record(line, lineno=lineno)
-        if instances and inst.vector.size != instances[0].vector.size:
-            raise ParseError(
-                f"record has length {inst.vector.size}, the first record "
-                f"has {instances[0].vector.size}", line=lineno)
+        if length is None:
+            length, source = inst.vector.size, "the first record's length"
+        if inst.vector.size != length:
+            raise ParseError(f"record has length {inst.vector.size}, "
+                             f"{source} is {length!r}", line=lineno)
         instances.append(inst)
     return header, instances

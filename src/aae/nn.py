@@ -14,6 +14,12 @@ Each layer defines forward and backward (Dense also backward_preact) on its
 own class, with no shared base: the benchmark tracer patches these class
 attributes by name.
 
+Conv1D is K shifted matmuls, one per tap k, for each pass:
+z = sum_k W[:, :, k] @ x[:, :, k:k+L'], dW[:, :, k] = sum_b dz_b @
+x_b[:, k:k+L']^T and dx[:, :, k:k+L'] += W[:, :, k]^T @ dz. Its cache holds
+the layer input x itself. MaxPool1D's backward scatters dy into a block view
+of one zeroed dx.
+
 Conventions (frozen): valid padding, stride 1 convolutions; pool stride =
 pool size with the trailing remainder dropped; max-pool ties break to the
 lowest index; initialization is uniform in +/-sqrt(6/(fan_in+fan_out)) with
@@ -22,7 +28,6 @@ zero biases.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ShapeError, ValidationError
 
@@ -81,23 +86,27 @@ class Conv1D:
             raise ShapeError(
                 f"conv1d expects (batch, {self.in_channels}, L), "
                 f"got {x.shape}")
-        self.output_length(x.shape[2])
-        windows = sliding_window_view(x, self.kernel_size, axis=2)
-        z = np.einsum("fck,bclk->bfl", self.W, windows, optimize=True) + self.b[:, None]
+        out_len = self.output_length(x.shape[2])
+        z = self.W[:, :, 0] @ x[:, :, :out_len]
+        for k in range(1, self.kernel_size):
+            z += self.W[:, :, k] @ x[:, :, k:k + out_len]
+        z += self.b[:, None]
         y = np.tanh(z) if self.activation == "tanh" else z
-        self._cache = (windows, y)
+        self._cache = (x, y)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        windows, y = self._cache
+        x, y = self._cache
         dz = dy * (1.0 - y * y) if self.activation == "tanh" else dy
-        self.dW = np.einsum("bfl,bcli->fci", dz, windows, optimize=True)
+        out_len = dz.shape[2]
+        self.dW = np.empty_like(self.W)
         self.db = dz.sum(axis=(0, 2))
-        k = self.kernel_size
-        dz_padded = np.pad(dz, ((0, 0), (0, 0), (k - 1, k - 1)))
-        dz_windows = sliding_window_view(dz_padded, k, axis=2)
-        return np.einsum("bflj,fcj->bcl", dz_windows, self.W[:, :, ::-1],
-                         optimize=True)
+        dx = np.zeros(x.shape)
+        for k in range(self.kernel_size):
+            window = x[:, :, k:k + out_len]
+            self.dW[:, :, k] = (dz @ window.transpose(0, 2, 1)).sum(axis=0)
+            dx[:, :, k:k + out_len] += self.W[:, :, k].T @ dz
+        return dx
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
@@ -142,13 +151,14 @@ class MaxPool1D:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         in_shape, argmax = self._cache
-        batch, channels, length = in_shape
+        batch, channels, _ = in_shape
         out_len = dy.shape[2]
-        dblocks = np.zeros((batch, channels, out_len, self.pool_size))
-        np.put_along_axis(dblocks, argmax[..., None], dy[..., None], axis=3)
         dx = np.zeros(in_shape)
-        dx[:, :, :out_len * self.pool_size] = dblocks.reshape(
-            batch, channels, -1)
+        # Splitting the length axis of the kept prefix gives a view of dx;
+        # the dropped remainder positions stay zero.
+        blocks = dx[:, :, :out_len * self.pool_size].reshape(
+            batch, channels, out_len, self.pool_size)
+        np.put_along_axis(blocks, argmax[..., None], dy[..., None], axis=3)
         return dx
 
     def params(self):
@@ -475,7 +485,10 @@ def load_network(path) -> Network:
                   for s in header["layers"]]
         net = Network(layers, arch=header["arch"],
                       input_len=header["input_len"], seed=header["seed"])
-    except (IndexError, KeyError, TypeError, ValueError,
+        # The layers must accept an input of the header's input_len.
+        probe = np.zeros((1, net.input_len))
+        net.forward(probe, np.ones_like(probe))
+    except (IndexError, KeyError, TypeError, ValueError, ShapeError,
             ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc
 

@@ -201,8 +201,12 @@ class TestPredict:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
-        net = build("scnn", 64, seed=1)
-        insts = [make_instance(rng, 64) for _ in range(5)]
-        batch = predict_batch(net, insts)
-        singles = [predict(net, inst) for inst in insts]
-        assert batch == pytest.approx(singles)
+        for arch in Architecture:
+            net = build(arch, 320, seed=1)
+            # 300 rows cross predict_batch's 256-row chunk.
+            for count in (64, 300):
+                insts = [make_instance(rng, 320, real=277)
+                         for _ in range(count)]
+                batch = predict_batch(net, insts)
+                singles = np.array([predict(net, inst) for inst in insts])
+                assert np.abs(batch - singles).max() <= 1e-12, (arch, count)

@@ -86,6 +86,10 @@ class TestGen:
     (["bench", "--count", "0"], None),
     (["train"], "abc"),
     (["sweep", "--fractions", "0.5,abc"], None),
+    (["train", "--lr", "nan"], None),
+    (["train", "--lr", "inf"], None),
+    (["train", "--lr", "-1"], None),
+    (["train", "--lr", "0"], None),
 ])
 def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
                               monkeypatch, capsys):
@@ -121,6 +125,19 @@ class TestTrain:
         assert rows[0] == ["epoch", "loss", "accuracy"]
         assert len(rows) >= 2
         assert params.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_exits_2(self, corpus_path, tmp_path, capsys):
+        # A finite but huge rate drives the weights, then the loss, to
+        # inf/nan; no CSV or params file is written.
+        log = tmp_path / "log.csv"
+        params = tmp_path / "net.txt"
+        code = run("train", "--corpus", corpus_path, "--arch", "scnn",
+                   "--epochs", "3", "--lr", "1e300", "--out", str(log),
+                   "--params-out", str(params))
+        assert code == EXIT_VALIDATION
+        assert "error: training diverged: epoch 0" in capsys.readouterr().err
+        assert not log.exists() and not params.exists()
 
     def test_seeded_rerun_byte_identical(self, corpus_path, tmp_path):
         outs = []

@@ -228,6 +228,7 @@ class TestCorpusSerialization:
 
         bad_records = {
             "not json": "{broken",
+            "json true label": record(label=True),
             "nan vector entry": record(vector=[math.nan] + vector[1:]),
             "mask value 2": record(mask=[2] + mask[1:]),
             "mask not a prefix": record(
@@ -241,3 +242,10 @@ class TestCorpusSerialization:
             with pytest.raises(ParseError) as exc:
                 read_corpus(path)
             assert exc.value.line == 3, name
+
+        # A header max_len the records do not have fails at the first one.
+        header = json.dumps({"format": "aae-corpus-v1", "max_len": 999})
+        path.write_text("\n".join([header, record(), record()]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_corpus(path)
+        assert exc.value.line == 2

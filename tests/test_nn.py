@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from aae.errors import ParseError, ShapeError, ValidationError
 from aae.nn import (
@@ -58,6 +61,45 @@ class TestConv1D:
                 expected += conv.W[f, c, i] * x[b, c, j + i]
         assert out[b, f, j] == pytest.approx(expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(in_channels=st.sampled_from([1, 3, 16]),
+           kernel_size=st.sampled_from([1, 2, 3, 5]),
+           extra=st.integers(0, 40), activation=st.sampled_from(
+               ["linear", "tanh"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_einsum_forward_and_loop_gradients(
+            self, in_channels, kernel_size, extra, activation, seed):
+        length = min(kernel_size + extra, 40)
+        rng = np.random.default_rng(seed)
+        conv = init_layer(Conv1D(4, kernel_size, in_channels, activation),
+                          seed=seed)
+        conv.b = rng.normal(size=4)
+        x = rng.normal(size=(2, in_channels, length))
+        y = conv.forward(x)
+
+        # Reference forward pass: einsum over the sliding windows of x.
+        windows = sliding_window_view(x, kernel_size, axis=2)
+        z = np.einsum("fck,bclk->bfl", conv.W, windows) + conv.b[:, None]
+        expected = np.tanh(z) if activation == "tanh" else z
+        assert np.abs(y - expected).max() <= 1e-12
+
+        dy = rng.normal(size=y.shape)
+        dx = conv.backward(dy)
+        dz = dy * (1.0 - expected ** 2) if activation == "tanh" else dy
+        out_len = length - kernel_size + 1
+        w = conv.W
+        dW = np.zeros_like(w)
+        dx_ref = np.zeros_like(x)
+        for b in range(2):
+            for f in range(4):
+                for c in range(in_channels):
+                    for k in range(kernel_size):
+                        for j in range(out_len):
+                            dW[f, c, k] += dz[b, f, j] * x[b, c, j + k]
+                            dx_ref[b, c, j + k] += w[f, c, k] * dz[b, f, j]
+        assert np.abs(conv.dW - dW).max() <= 1e-12
+        assert np.abs(conv.db - dz.sum(axis=(0, 2))).max() <= 1e-12
+        assert np.abs(dx - dx_ref).max() <= 1e-12
+
 
 class TestMaxPool1D:
     def test_output_length_drops_remainder(self):
@@ -82,6 +124,24 @@ class TestMaxPool1D:
     def test_too_short_input(self):
         with pytest.raises(ShapeError):
             MaxPool1D(4).forward(np.zeros((1, 1, 3)))
+
+    def test_backward_routes_to_first_max_and_zeroes_remainder(self):
+        rng = np.random.default_rng(4)
+        # Few distinct values, so blocks hold ties; 11 = 3 * 3 + 2 leaves
+        # two remainder positions per row.
+        x = rng.integers(0, 3, size=(2, 3, 11)).astype(float)
+        pool = MaxPool1D(3)
+        dy = rng.normal(size=pool.forward(x).shape)
+        dx = pool.backward(dy)
+        expected = np.zeros_like(x)
+        for b in range(2):
+            for c in range(3):
+                for j in range(3):
+                    block = list(x[b, c, 3 * j:3 * j + 3])
+                    expected[b, c, 3 * j + block.index(max(block))] = \
+                        dy[b, c, j]
+        assert np.array_equal(dx, expected)
+        assert np.all(dx[:, :, 9:] == 0.0)
 
 
 class TestDense:
@@ -344,6 +404,10 @@ class TestSerialization:
             "pool size 0": (
                 [lines[0], lines[1].replace('"pool_size":2', '"pool_size":0')]
                 + lines[2:], 2),
+            "input_len does not fit the layers": (
+                [lines[0], lines[1].replace('"input_len":16',
+                                            '"input_len":20')] + lines[2:],
+                2),
         }
         for name, (content, line) in bad_files.items():
             path.write_text("\n".join(content) + "\n")
