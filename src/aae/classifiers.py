@@ -20,6 +20,9 @@ DEFAULT_LEARNING_RATE = 0.01
 # Early stop when loss improvement stays below this over PATIENCE epochs.
 LOSS_IMPROVEMENT_EPS = 1e-6
 PATIENCE = 5
+# An epoch's mean loss above ten times that of predicting 0.5 everywhere
+# (ln 2) counts as divergence.
+DIVERGED_LOSS = 10 * np.log(2.0)
 
 
 class Architecture(str, Enum):
@@ -116,7 +119,7 @@ def train(net: Network, corpus: list[EvaluationInstance],
     Returns one log entry per epoch: epoch index, mean loss, and training
     accuracy (measured on the pre-update batch predictions). Stops early on
     perfect accuracy or a stalled loss; raises DivergenceError when an
-    epoch's mean loss is not finite.
+    epoch's mean loss is not at most DIVERGED_LOSS (NaN included).
     """
     x, mask, y = _stack_corpus(corpus, require_labels=True)
     rng = np.random.default_rng(seed)
@@ -135,9 +138,10 @@ def train(net: Network, corpus: list[EvaluationInstance],
             total_loss += loss * idx.size
             correct += int(((probs >= 0.5) == (y[idx] == 1)).sum())
         mean_loss = total_loss / n
-        if not np.isfinite(mean_loss):
+        if not mean_loss <= DIVERGED_LOSS:
             raise DivergenceError(
-                f"training diverged: epoch {epoch} mean loss is {mean_loss}")
+                f"training diverged: epoch {epoch} mean loss {mean_loss:.4g} "
+                f"exceeds {DIVERGED_LOSS:.4g}")
         accuracy = correct / n
         log.append({"epoch": epoch, "loss": mean_loss, "accuracy": accuracy})
         if accuracy >= 1.0:
@@ -165,7 +169,3 @@ def predict_batch(net: Network,
         for i in range(0, x.shape[0], 256)
     ]
     return np.concatenate(chunks)
-
-
-def hard_label(probability: float) -> int:
-    return int(probability >= 0.5)

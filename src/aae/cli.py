@@ -52,9 +52,7 @@ def _mutate_storage(rng: np.random.Generator,
     return features.StorageConfig(engine=engine, index_bits=tuple(bits))
 
 
-def generate_labeled_corpus(profile: str, count: int, seed: int,
-                            max_len: int | None = None,
-                            params: oracle.CostParams | None = None):
+def generate_labeled_corpus(profile: str, count: int, seed: int):
     """Draw `count` oracle-labeled instances over one seeded GraphStats.
 
     The graph is fixed per corpus (each dataset trains its own model);
@@ -63,12 +61,10 @@ def generate_labeled_corpus(profile: str, count: int, seed: int,
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if params is None:
-        params = oracle.CostParams()
+    params = oracle.CostParams()
     stats = graphmodel.generate_graph_stats(profile, seed)
-    if max_len is None:
-        max_len = (features.LDBC_MAX_LEN if profile == "ldbc"
-                   else features.DEFAULT_MAX_LEN)
+    max_len = (features.LDBC_MAX_LEN if profile == "ldbc"
+               else features.DEFAULT_MAX_LEN)
 
     rng = np.random.default_rng(seed)
     stats_id = f"{profile}:{seed}"
@@ -122,7 +118,7 @@ def _train_kwargs(args) -> dict:
 
 def cmd_gen(args) -> int:
     header, instances = generate_labeled_corpus(
-        args.profile, args.count, args.seed, max_len=args.max_len)
+        args.profile, args.count, args.seed)
     features.write_corpus(args.out, header, instances)
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
@@ -222,7 +218,10 @@ def _positive_float(text: str) -> float:
 
 
 def _fractions(text: str) -> list[float]:
-    return [float(f) for f in text.split(",") if f]
+    fractions = [float(f) for f in text.split(",") if f]
+    if not fractions:
+        raise argparse.ArgumentTypeError("needs at least one fraction")
+    return fractions
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="random",
                    choices=graphmodel.profile_names())
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one classifier on a corpus")

@@ -33,11 +33,11 @@ class ShapeError(AAEError):
 
 
 class DivergenceError(AAEError):
-    """Training produced a non-finite loss."""
+    """An epoch's mean training loss exceeded the divergence bound."""
 
 
 class ParseError(AAEError):
-    """A corpus, trace, or params file is malformed."""
+    """A corpus or params file is malformed."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .graphmodel import NUM_KINDS, GraphStats, WorkloadProfile
+from .graphmodel import GraphStats, WorkloadProfile
 
 ENGINES = ("native-graph", "columnar")
 PAD_VALUE = -1.0
@@ -49,9 +49,6 @@ class EvaluationInstance:
     mask: np.ndarray
     label: int | None = None
     provenance: dict[str, str] = field(default_factory=dict)
-
-    def unpadded_length(self) -> int:
-        return int(self.mask.sum())
 
 
 def extract_dataset_features(g: GraphStats) -> np.ndarray:
@@ -162,6 +159,8 @@ def write_corpus(path, header: dict, instances) -> None:
 
 
 def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
+    from .oracle import CostParams  # oracle imports this module
+
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -172,6 +171,11 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
         raise ParseError(f"bad corpus header: {exc}", line=1) from exc
     if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
         raise ParseError("missing aae-corpus-v1 header", line=1)
+    if "cost_params" in header:
+        try:
+            CostParams.from_dict(header["cost_params"])
+        except (KeyError, TypeError, AttributeError, ValidationError) as exc:
+            raise ParseError(f"bad cost_params: {exc!r}", line=1) from exc
     instances = []
     # Every record has the header's max_len or, without one, the first
     # record's length.

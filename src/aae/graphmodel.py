@@ -47,10 +47,6 @@ class OperationKind(IntEnum):
     SHORT_PATH = 17
     SHORT_PATH_LABELED = 18
 
-    @property
-    def category(self) -> str:
-        return _KIND_CATEGORY[self.value]
-
 
 CATEGORIES = ("create", "read", "update", "delete", "traverse")
 
@@ -66,10 +62,6 @@ CATEGORY_KINDS = {
                  OperationKind.T_FILTER, OperationKind.ALL_IN_PATH_BFS,
                  OperationKind.ALL_IN_PATH_BFS_LABELED,
                  OperationKind.SHORT_PATH, OperationKind.SHORT_PATH_LABELED),
-}
-
-_KIND_CATEGORY = {
-    kind.value: cat for cat, kinds in CATEGORY_KINDS.items() for kind in kinds
 }
 
 NUM_KINDS = len(OperationKind)
@@ -123,12 +115,6 @@ class WorkloadProfile:
             raise ValidationError("property_freq entries must lie in [0, 1]")
         if self.total_queries < 1:
             raise ValidationError("total_queries must be >= 1")
-
-    def category_sums(self) -> dict[str, float]:
-        return {
-            cat: sum(self.op_rates[k.value] for k in kinds)
-            for cat, kinds in CATEGORY_KINDS.items()
-        }
 
 
 # Counts for the named dataset profiles (nodes, edges, node types, edge
@@ -188,8 +174,7 @@ def profile_names() -> tuple[str, ...]:
     return tuple(_NAMED_PROFILES) + ("random",)
 
 
-def generate_workload(stats: GraphStats, mix, seed: int,
-                      total_queries: int | None = None) -> WorkloadProfile:
+def generate_workload(stats: GraphStats, mix, seed: int) -> WorkloadProfile:
     """Draw a workload whose per-category rate mass matches `mix`.
 
     `mix` gives the 5 category fractions (create, read, update, delete,
@@ -218,10 +203,8 @@ def generate_workload(stats: GraphStats, mix, seed: int,
     ranks = rng.permutation(p)
     freq = (ranks + 1.0) ** -ZIPF_EXPONENT
 
-    if total_queries is None:
-        total_queries = int(rng.integers(100, 10001))
     return WorkloadProfile(
         op_rates=tuple(float(r) for r in rates),
         property_freq=tuple(float(f) for f in freq),
-        total_queries=total_queries,
+        total_queries=int(rng.integers(100, 10001)),
     )

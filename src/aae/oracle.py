@@ -1,15 +1,14 @@
 """Deterministic cost model standing in for real workload execution.
 
 Assigns a total cost to (graph, workload, storage) and labels a storage
-change 1 iff the old storage is strictly more expensive. A trace-file path
-lets externally measured runtimes replace the model.
+change 1 iff the old storage is strictly more expensive.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .features import ENGINES, StorageConfig
 from .graphmodel import (
     NUM_KINDS,
@@ -149,46 +148,3 @@ def label(g: GraphStats, w: WorkloadProfile, s_old: StorageConfig,
     """1 iff the old storage is strictly costlier; ties go to 0."""
     return int(workload_cost(g, w, s_old, params) >
                workload_cost(g, w, s_new, params))
-
-
-def ingest_trace(path) -> dict[tuple[str, str], float]:
-    """Load measured runtimes keyed by (provenance_id, storage_id).
-
-    Each line is `provenance_id,storage_id,runtime_seconds`. Blank lines
-    are ignored; duplicates and malformed lines are errors.
-    """
-    table: dict[tuple[str, str], float] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 comma-separated fields, got {len(parts)}",
-                    line=lineno)
-            prov, storage, runtime_text = parts
-            try:
-                runtime = float(runtime_text)
-            except ValueError as exc:
-                raise ParseError(
-                    f"bad runtime value {runtime_text!r}", line=lineno
-                ) from exc
-            key = (prov, storage)
-            if key in table:
-                raise ValidationError(
-                    f"duplicate trace entry for {prov!r}/{storage!r}")
-            table[key] = runtime
-    return table
-
-
-def label_from_trace(table: dict[tuple[str, str], float], provenance_id: str,
-                     old_storage_id: str, new_storage_id: str) -> int:
-    """Labeling rule applied to measured runtimes instead of the model."""
-    try:
-        old_cost = table[(provenance_id, old_storage_id)]
-        new_cost = table[(provenance_id, new_storage_id)]
-    except KeyError as exc:
-        raise ValidationError(f"no trace entry for {exc.args[0]!r}") from exc
-    return int(old_cost > new_cost)

@@ -8,7 +8,6 @@ from aae.classifiers import (
     Architecture,
     build,
     conv_output_lengths,
-    hard_label,
     predict,
     predict_batch,
     train,
@@ -125,7 +124,7 @@ class TestTrain:
         net = build("scnn", 64, seed=0)
         log = train(net, [inst] * 4, epochs=50, seed=0)
         assert log[-1]["accuracy"] == 1.0
-        assert hard_label(predict(net, inst)) == 1
+        assert int(predict(net, inst) >= 0.5) == 1
 
     def test_seeded_runs_identical(self):
         corpus = separable_corpus(n=40)

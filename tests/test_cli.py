@@ -90,13 +90,18 @@ class TestGen:
     (["train", "--lr", "inf"], None),
     (["train", "--lr", "-1"], None),
     (["train", "--lr", "0"], None),
+    (["sweep", "--fractions", ""], None),
+    (["sweep", "--fractions", ","], None),
+    (["gen", "--count", "5", "--max-len", "256"], None),
 ])
 def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
                               monkeypatch, capsys):
     if env_seed is not None:
         monkeypatch.setenv("AAE_SEED", env_seed)
+    if argv[0] != "gen":
+        argv = argv + ["--corpus", corpus_path]
     with pytest.raises(SystemExit) as exc:
-        run(*argv, "--corpus", corpus_path, "--out", str(tmp_path / "o.csv"))
+        run(*argv, "--out", str(tmp_path / "o.csv"))
     assert exc.value.code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
 
@@ -128,16 +133,18 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_loss_exits_2(self, corpus_path, tmp_path, capsys):
-        # A finite but huge rate drives the weights, then the loss, to
-        # inf/nan; no CSV or params file is written.
+        # 1e300 drives the loss to inf/nan; 1 and 1e6 keep it finite but
+        # far above ln 2. No CSV or params file is written.
         log = tmp_path / "log.csv"
         params = tmp_path / "net.txt"
-        code = run("train", "--corpus", corpus_path, "--arch", "scnn",
-                   "--epochs", "3", "--lr", "1e300", "--out", str(log),
-                   "--params-out", str(params))
-        assert code == EXIT_VALIDATION
-        assert "error: training diverged: epoch 0" in capsys.readouterr().err
-        assert not log.exists() and not params.exists()
+        for lr in ("1e300", "1e6", "1"):
+            code = run("train", "--corpus", corpus_path, "--arch", "scnn",
+                       "--epochs", "3", "--lr", lr, "--out", str(log),
+                       "--params-out", str(params))
+            assert code == EXIT_VALIDATION, lr
+            err = capsys.readouterr().err
+            assert "error: training diverged: epoch 0" in err, lr
+            assert not log.exists() and not params.exists()
 
     def test_seeded_rerun_byte_identical(self, corpus_path, tmp_path):
         outs = []

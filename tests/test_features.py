@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aae import graphmodel
 from aae.errors import CapacityError, ParseError, ValidationError
@@ -21,6 +23,7 @@ from aae.features import (
     write_corpus,
 )
 from aae.graphmodel import GraphStats, WorkloadProfile
+from aae.oracle import CostParams
 
 
 def minimal_stats():
@@ -116,7 +119,7 @@ class TestAssemble:
         w = uniform_workload(stats)
         s = StorageConfig(engine="columnar", index_bits=(1, 0, 0))
         inst = assemble(stats, w, s, s, max_len=DEFAULT_MAX_LEN)
-        assert inst.unpadded_length() == (6 + 3) + (19 + 3) + (2 + 3) + (2 + 3)
+        assert int(inst.mask.sum()) == (6 + 3) + (19 + 3) + (2 + 3) + (2 + 3)
         assert np.all(inst.vector[41:] == PAD_VALUE)
         assert np.all(inst.mask[41:] == 0)
         assert np.all(inst.mask[:41] == 1)
@@ -216,6 +219,48 @@ class TestCorpusSerialization:
         path.write_text("not json\n")
         with pytest.raises(ParseError):
             read_corpus(path)
+        # A cost_params block, when present, must parse as CostParams.
+        for params in ({"index_speedup": 5}, "garbage"):
+            write_corpus(path, {"cost_params": params},
+                         [self.make_instance()])
+            with pytest.raises(ParseError) as exc:
+                read_corpus(path)
+            assert exc.value.line == 1, params
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 64),
+           count=st.integers(0, 5), with_max_len=st.booleans(),
+           with_params=st.booleans())
+    def test_corpus_roundtrip_property(self, tmp_path_factory, data, length,
+                                       count, with_max_len, with_params):
+        header = {"profile": data.draw(st.text()),
+                  "seed": data.draw(st.integers())}
+        if with_max_len:
+            header["max_len"] = length
+        if with_params:
+            header["cost_params"] = CostParams().to_dict()
+        instances = []
+        for _ in range(count):
+            real = data.draw(st.integers(0, length))
+            instances.append(EvaluationInstance(
+                vector=np.array(data.draw(st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=length, max_size=length))),
+                mask=(np.arange(length) < real).astype(np.int8),
+                label=data.draw(st.sampled_from([0, 1, None])),
+                provenance=data.draw(st.dictionaries(st.text(), st.text(),
+                                                     max_size=4))))
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        write_corpus(path, header, instances)
+        back_header, back = read_corpus(path)
+        assert back_header == {"format": "aae-corpus-v1", **header}
+        assert len(back) == count
+        for inst, got in zip(instances, back):
+            assert got.mask.tolist() == inst.mask.tolist()
+            assert got.label == inst.label
+            assert got.provenance == inst.provenance
+            assert got.vector.tolist() == [float(f"{v:.9g}")
+                                           for v in inst.vector]
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from aae import graphmodel
-from aae.errors import ParseError, ValidationError
+from aae.errors import ValidationError
 from aae.features import StorageConfig
-from aae.graphmodel import GraphStats, OperationKind, WorkloadProfile
-from aae.oracle import (
-    CostParams,
-    ingest_trace,
-    label,
-    label_from_trace,
-    op_cost,
-    workload_cost,
+from aae.graphmodel import (
+    CATEGORY_KINDS,
+    GraphStats,
+    OperationKind,
+    WorkloadProfile,
 )
+from aae.oracle import CostParams, label, op_cost, workload_cost
 
 
 def stats(nodes=100, edges=50, props=3):
@@ -49,7 +47,7 @@ class TestOpCost:
         s = StorageConfig(engine="columnar", index_bits=(1, 0, 1))
         for kind in OperationKind:
             expected = params.base_cost["columnar"][kind.value]
-            if kind.category == "create":
+            if kind in CATEGORY_KINDS["create"]:
                 expected *= 1.2  # two index bits set
             assert op_cost(kind, g, s, (0.5, 0.5, 0.5), params) == \
                 pytest.approx(expected)
@@ -212,46 +210,6 @@ class TestLabel:
             indexed = workload_cost(
                 g, w, StorageConfig("columnar", tuple(more)), params)
             assert indexed <= base
-
-
-class TestIngestTrace:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("")
-        assert ingest_trace(path) == {}
-
-    def test_table1_style_runtimes(self, tmp_path):
-        # 11.57h on the old storage vs 31.25h on the new: the cheaper old
-        # storage means the change is not an improvement.
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "wl1,native-graph:000,41652\n"
-            "wl1,columnar:000,112500\n")
-        table = ingest_trace(path)
-        assert len(table) == 2
-        assert label_from_trace(table, "wl1", "native-graph:000",
-                                "columnar:000") == 0
-        assert label_from_trace(table, "wl1", "columnar:000",
-                                "native-graph:000") == 1
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("a,s1,1.0\na,s1,2.0\n")
-        with pytest.raises(ValidationError):
-            ingest_trace(path)
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("a,s1,1.0\nnot-enough-fields\n")
-        with pytest.raises(ParseError) as exc:
-            ingest_trace(path)
-        assert exc.value.line == 2
-
-    def test_bad_runtime_value(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("a,s1,fast\n")
-        with pytest.raises(ParseError):
-            ingest_trace(path)
 
 
 class TestCostParamsValidation:
