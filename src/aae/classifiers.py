@@ -101,7 +101,7 @@ def _stack_corpus(instances: list[EvaluationInstance], require_labels: bool):
         raise ValidationError(
             f"instances must all have one length, saw {sorted(lengths)}")
     x = np.stack([inst.vector for inst in instances])
-    mask = np.stack([inst.mask for inst in instances]).astype(np.float64)
+    mask = np.stack([inst.mask for inst in instances])
     y = None
     if require_labels:
         if any(inst.label is None for inst in instances):

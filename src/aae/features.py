@@ -129,14 +129,15 @@ def instance_to_record(inst: EvaluationInstance) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def instance_from_record(line: str, lineno: int | None = None) -> EvaluationInstance:
+def instance_from_record(line: str | bytes, lineno: int | None = None) -> EvaluationInstance:
     try:
         record = json.loads(line)
         vector = np.array(record["vector"], dtype=np.float64)
         mask = np.array(record["mask"], dtype=np.float64)
         label = record["label"]
         provenance = record.get("provenance", {})
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ParseError(f"bad instance record: {exc}", line=lineno) from exc
     if vector.shape != mask.shape:
         raise ParseError("vector and mask lengths differ", line=lineno)
@@ -161,13 +162,14 @@ def write_corpus(path, header: dict, instances) -> None:
 def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
     from .oracle import CostParams  # oracle imports this module
 
-    with open(path) as fh:
+    # Lines stay bytes and json.loads decodes each, so a bad byte names it.
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty corpus file", line=1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad corpus header: {exc}", line=1) from exc
     if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
         raise ParseError("missing aae-corpus-v1 header", line=1)

@@ -18,7 +18,9 @@ Conv1D is K shifted matmuls, one per tap k, for each pass:
 z = sum_k W[:, :, k] @ x[:, :, k:k+L'], dW[:, :, k] = sum_b dz_b @
 x_b[:, k:k+L']^T and dx[:, :, k:k+L'] += W[:, :, k]^T @ dz. Its cache holds
 the layer input x itself. MaxPool1D's backward scatters dy into a block view
-of one zeroed dx.
+of one zeroed dx. GRU stacks its z, r and h gates in one W of shape
+(3, H, H+input_size) and one b of shape (3, H); its params() returns the
+aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of them.
 
 Conventions (frozen): valid padding, stride 1 convolutions; pool stride =
 pool size with the trailing remainder dropped; max-pool ties break to the
@@ -27,18 +29,16 @@ zero biases.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int,
@@ -258,8 +258,9 @@ class GRU:
 
     Timesteps carry `input_size` scalars. Steps whose mask is 0 copy the
     hidden state unchanged; trailing steps where the whole batch is masked
-    are skipped outright. Weights act on the concatenation [h_prev, x_t],
-    so each matrix is (H, H+input_size).
+    are skipped outright. W stacks the z, r and h gate matrices, each acting
+    on [h_prev, x_t], as (3, H, H+input_size); b is (3, H). params() returns
+    the aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of W and b.
     """
 
     kind = "gru"
@@ -271,28 +272,16 @@ class GRU:
             raise ValidationError("input_size must be >= 1")
         self.hidden_size = hidden_size
         self.input_size = input_size
-        h, k = hidden_size, input_size
-        self.Wz = np.zeros((h, h + k))
-        self.Wr = np.zeros((h, h + k))
-        self.Wh = np.zeros((h, h + k))
-        self.bz = np.zeros(h)
-        self.br = np.zeros(h)
-        self.bh = np.zeros(h)
-        self.dWz = np.zeros_like(self.Wz)
-        self.dWr = np.zeros_like(self.Wr)
-        self.dWh = np.zeros_like(self.Wh)
-        self.dbz = np.zeros_like(self.bz)
-        self.dbr = np.zeros_like(self.br)
-        self.dbh = np.zeros_like(self.bh)
+        self.W = np.zeros((3, hidden_size, hidden_size + input_size))
+        self.b = np.zeros((3, hidden_size))
+        self.dW = np.zeros_like(self.W)
+        self.db = np.zeros_like(self.b)
         self._cache = None
 
     def init(self, rng: np.random.Generator) -> None:
         h, k = self.hidden_size, self.input_size
-        for name in ("Wz", "Wr", "Wh"):
-            setattr(self, name, _glorot_uniform(rng, (h, h + k), h + k, h))
-        self.bz = np.zeros(h)
-        self.br = np.zeros(h)
-        self.bh = np.zeros(h)
+        self.W = _glorot_uniform(rng, self.W.shape, h + k, h)
+        self.b = np.zeros((3, h))
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:
@@ -305,17 +294,17 @@ class GRU:
                 "mask must be a prefix of 1s followed by 0s")
         h = np.zeros((x.shape[0], self.hidden_size))
         cache = []
-        mask = mask.astype(np.float64)
+        (Wz, Wr, Wh), (bz, br, bh) = self.W, self.b
         # Masks are prefixes, so the steps any row uses come first.
         for t in range(int(mask.any(axis=0).sum())):
             m = mask[:, t:t + 1]
             h_prev = h
             xt = x[:, t, :]
             cat = np.concatenate([h_prev, xt], axis=1)
-            z = sigmoid(cat @ self.Wz.T + self.bz)
-            r = sigmoid(cat @ self.Wr.T + self.br)
+            z = sigmoid(cat @ Wz.T + bz)
+            r = sigmoid(cat @ Wr.T + br)
             cat_h = np.concatenate([r * h_prev, xt], axis=1)
-            h_cand = np.tanh(cat_h @ self.Wh.T + self.bh)
+            h_cand = np.tanh(cat_h @ Wh.T + bh)
             h_new = (1.0 - z) * h_prev + z * h_cand
             h = m * h_new + (1.0 - m) * h_prev
             cache.append((m, h_prev, cat, cat_h, z, r, h_cand))
@@ -323,12 +312,9 @@ class GRU:
         return h
 
     def backward(self, dh: np.ndarray) -> None:
-        self.dWz = np.zeros_like(self.Wz)
-        self.dWr = np.zeros_like(self.Wr)
-        self.dWh = np.zeros_like(self.Wh)
-        self.dbz = np.zeros_like(self.bz)
-        self.dbr = np.zeros_like(self.br)
-        self.dbh = np.zeros_like(self.bh)
+        Wz, Wr, Wh = self.W
+        dWz, dWr, dWh = self.dW = np.zeros_like(self.W)
+        dbz, dbr, dbh = self.db = np.zeros_like(self.b)
         hidden = self.hidden_size
         for m, h_prev, cat, cat_h, z, r, h_cand in reversed(self._cache):
             dh_step = dh * m
@@ -338,27 +324,27 @@ class GRU:
             dcand = dh_step * z
 
             da_h = dcand * (1.0 - h_cand * h_cand)
-            self.dWh += da_h.T @ cat_h
-            self.dbh += da_h.sum(axis=0)
-            dcat_h = da_h @ self.Wh
+            dWh += da_h.T @ cat_h
+            dbh += da_h.sum(axis=0)
+            dcat_h = da_h @ Wh
             dr = dcat_h[:, :hidden] * h_prev
             dh_prev = dh_prev + dcat_h[:, :hidden] * r
 
             da_z = dz * z * (1.0 - z)
-            self.dWz += da_z.T @ cat
-            self.dbz += da_z.sum(axis=0)
+            dWz += da_z.T @ cat
+            dbz += da_z.sum(axis=0)
             da_r = dr * r * (1.0 - r)
-            self.dWr += da_r.T @ cat
-            self.dbr += da_r.sum(axis=0)
+            dWr += da_r.T @ cat
+            dbr += da_r.sum(axis=0)
 
-            dcat = da_z @ self.Wz + da_r @ self.Wr
+            dcat = da_z @ Wz + da_r @ Wr
             dh = dh_prev + dcat[:, :hidden]
         # Inputs are raw features; no upstream layer consumes their gradient.
 
     def params(self):
-        return [("Wz", self.Wz, self.dWz), ("Wr", self.Wr, self.dWr),
-                ("Wh", self.Wh, self.dWh), ("bz", self.bz, self.dbz),
-                ("br", self.br, self.dbr), ("bh", self.bh, self.dbh)]
+        W, dW, b, db = self.W, self.dW, self.b, self.db
+        return [("Wz", W[0], dW[0]), ("Wr", W[1], dW[1]), ("Wh", W[2], dW[2]),
+                ("bz", b[0], db[0]), ("br", b[1], db[1]), ("bh", b[2], db[2])]
 
     def spec(self) -> dict:
         return {"kind": self.kind, "hidden_size": self.hidden_size,
@@ -455,8 +441,6 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (Conv1D, MaxPool1D, Flatten,
 
 
 def save_network(net: Network, path) -> None:
-    import json
-
     with open(path, "w") as fh:
         fh.write(f"{_FORMAT_TAG}\n")
         fh.write(json.dumps({
@@ -472,10 +456,13 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    import json
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}",
+                         line=data.count(b"\n", 0, exc.start) + 1) from exc
     if not lines or lines[0] != _FORMAT_TAG:
         raise ParseError(f"not an {_FORMAT_TAG} file", line=1)
     try:
@@ -488,8 +475,8 @@ def load_network(path) -> Network:
         # The layers must accept an input of the header's input_len.
         probe = np.zeros((1, net.input_len))
         net.forward(probe, np.ones_like(probe))
-    except (IndexError, KeyError, TypeError, ValueError, ShapeError,
-            ValidationError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError, RecursionError,
+            ShapeError, ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc
 
     # Exactly the network's tensors, in order: a header line, then values.
@@ -513,6 +500,9 @@ def load_network(path) -> Network:
             raise ParseError(
                 f"tensor {layer_idx} {name} expects {value.size} values, "
                 f"got {values.size}", line=lineno + 1)
+        if not np.isfinite(values).all():
+            raise ParseError(f"tensor {layer_idx} {name} holds a non-finite "
+                             f"value", line=lineno + 1)
         value[...] = values.reshape(value.shape)
     end = 2 + 2 * len(tensors)
     if len(lines) > end:

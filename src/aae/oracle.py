@@ -60,9 +60,17 @@ class CostParams:
     size_exponent: float = 1.0
 
     def __post_init__(self):
-        for engine in ENGINES:
-            table = self.base_cost.get(engine)
-            if table is None or len(table) != NUM_KINDS:
+        if set(self.base_cost) != set(ENGINES):
+            raise ValidationError(f"base_cost must list exactly {ENGINES}")
+        costs = [c for engine in ENGINES for c in self.base_cost[engine]]
+        for value in [*costs, self.index_speedup,
+                      self.traversal_native_discount, self.size_exponent]:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -math.inf < value < math.inf):
+                raise ValidationError(
+                    f"cost parameters must be finite numbers, got {value!r}")
+        for engine, table in self.base_cost.items():
+            if len(table) != NUM_KINDS:
                 raise ValidationError(
                     f"base_cost[{engine!r}] must list all {NUM_KINDS} kinds")
             if any(c <= 0 for c in table):

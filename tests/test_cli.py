@@ -163,10 +163,11 @@ class TestTrain:
 
     def test_corrupt_corpus_parse_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("junk\n")
-        code = run("train", "--corpus", str(bad),
-                   "--out", str(tmp_path / "log.csv"))
-        assert code == EXIT_PARSE
+        for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n'):
+            bad.write_bytes(content)
+            code = run("train", "--corpus", str(bad),
+                       "--out", str(tmp_path / "log.csv"))
+            assert code == EXIT_PARSE
 
 
 class TestActiveCommand:

@@ -220,12 +220,22 @@ class TestCorpusSerialization:
         with pytest.raises(ParseError):
             read_corpus(path)
         # A cost_params block, when present, must parse as CostParams.
-        for params in ({"index_speedup": 5}, "garbage"):
+        for params in ({"index_speedup": 5}, "garbage",
+                       {**CostParams().to_dict(), "index_speedup": True}):
             write_corpus(path, {"cost_params": params},
                          [self.make_instance()])
             with pytest.raises(ParseError) as exc:
                 read_corpus(path)
             assert exc.value.line == 1, params
+        # Decode failures in the header: a byte that is not UTF-8, a
+        # max_len past Python's int-digit limit, lists nested too deep.
+        for text in ('{"format":"aae-corpus-v1","profile":"\udcff"}',
+                     '{"format":"aae-corpus-v1","max_len":' + "9" * 5000 + "}",
+                     "[" * 100_000 + "]" * 100_000):
+            path.write_text(text + "\n", errors="surrogateescape")
+            with pytest.raises(ParseError) as exc:
+                read_corpus(path)
+            assert exc.value.line == 1, text[:40]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), length=st.integers(1, 64),
@@ -280,10 +290,17 @@ class TestCorpusSerialization:
                 mask=mask[:real - 1] + [0, 1] + mask[real + 1:]),
             "shorter than the first": record(vector=vector[:-1],
                                              mask=mask[:-1]),
+            # Written as byte 0xff, inside a JSON string.
+            "byte not utf-8": record(provenance={"note": "X"}).replace(
+                "X", "\udcff"),
+            "400-digit integer entry": record(vector=[10**400] + vector[1:]),
+            "lists nested 100,000 deep": record(
+                vector="X").replace('"X"', "[" * 100_000 + "]" * 100_000),
         }
         header = json.dumps({"format": "aae-corpus-v1"})
         for name, bad in bad_records.items():
-            path.write_text("\n".join([header, record(), bad]) + "\n")
+            path.write_text("\n".join([header, record(), bad]) + "\n",
+                            errors="surrogateescape")
             with pytest.raises(ParseError) as exc:
                 read_corpus(path)
             assert exc.value.line == 3, name

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,10 +197,10 @@ class TestGRU:
         h = np.zeros(2)
         for t in range(3):
             cat = np.concatenate([h, x[0, t]])
-            z = sig(gru.Wz @ cat + gru.bz)
-            r = sig(gru.Wr @ cat + gru.br)
+            z = sig(gru.W[0] @ cat + gru.b[0])
+            r = sig(gru.W[1] @ cat + gru.b[1])
             cat_h = np.concatenate([r * h, x[0, t]])
-            h_cand = np.tanh(gru.Wh @ cat_h + gru.bh)
+            h_cand = np.tanh(gru.W[2] @ cat_h + gru.b[2])
             h = (1 - z) * h + z * h_cand
         assert out[0] == pytest.approx(h)
 
@@ -383,6 +385,20 @@ class TestSerialization:
         mask = np.ones((2, 5))
         assert back.forward(x, mask) == pytest.approx(net.forward(x, mask))
 
+    def test_golden_gru_file(self, tmp_path):
+        # Pins the aae-net-v1 bytes of a GRU network: the init RNG stream,
+        # the tensor names and their order.
+        golden = Path(__file__).parent / "data" / "gru-aae-net-v1.txt"
+        net = Network([GRU(3, input_size=2), Dense(1, 3, "sigmoid")],
+                      arch="gru", input_len=6, seed=7)
+        net.initialize()
+        built = tmp_path / "built.txt"
+        save_network(net, built)
+        assert built.read_bytes() == golden.read_bytes()
+        resaved = tmp_path / "resaved.txt"
+        save_network(load_network(golden), resaved)
+        assert resaved.read_bytes() == golden.read_bytes()
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
         save_network(small_conv_network(seed=5), path)
@@ -408,9 +424,19 @@ class TestSerialization:
                 [lines[0], lines[1].replace('"input_len":16',
                                             '"input_len":20')] + lines[2:],
                 2),
+            "non-finite values": (
+                lines[:3] + ["nan inf " + lines[3].split(" ", 2)[2]]
+                + lines[4:], 4),
+            # Written as byte 0xff, inside a JSON string.
+            "byte not utf-8": (
+                [lines[0], lines[1].replace('"arch":"t', '"arch":"\udcff')]
+                + lines[2:], 2),
+            "header nested 100,000 deep": (
+                [lines[0], "[" * 100_000 + "]" * 100_000] + lines[2:], 2),
         }
         for name, (content, line) in bad_files.items():
-            path.write_text("\n".join(content) + "\n")
+            path.write_text("\n".join(content) + "\n",
+                            errors="surrogateescape")
             with pytest.raises(ParseError) as exc:
                 load_network(path)
             assert exc.value.line == line, name

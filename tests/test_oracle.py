@@ -225,6 +225,24 @@ class TestCostParamsValidation:
         with pytest.raises(ValidationError):
             CostParams(traversal_native_discount=1.5)
 
+    def test_rejects_booleans_and_non_finite_numbers(self):
+        costs = CostParams().base_cost
+        for bad in (True, False, math.nan, math.inf, -math.inf, "1.0", None):
+            for field in ("index_speedup", "traversal_native_discount",
+                          "size_exponent"):
+                with pytest.raises(ValidationError):
+                    CostParams(**{field: bad})
+            table = (bad,) + costs["columnar"][1:]
+            with pytest.raises(ValidationError):
+                CostParams(base_cost={**costs, "columnar": table})
+
+    def test_rejects_unknown_or_missing_engine(self):
+        costs = CostParams().base_cost
+        with pytest.raises(ValidationError):
+            CostParams(base_cost={**costs, "extra-engine": costs["columnar"]})
+        with pytest.raises(ValidationError):
+            CostParams(base_cost={"columnar": costs["columnar"]})
+
     def test_dict_roundtrip(self):
         params = CostParams()
         assert CostParams.from_dict(params.to_dict()) == params
