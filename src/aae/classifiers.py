@@ -60,10 +60,6 @@ def build(arch: Architecture | str, input_len: int, seed: int = 0) -> Network:
     """Construct and initialize one architecture for a fixed input length."""
     arch = Architecture.parse(arch) if isinstance(arch, str) else arch
     if arch is Architecture.GRU:
-        if input_len % GRU_STEP:
-            raise ValidationError(
-                f"input length {input_len} is not a multiple of the gru "
-                f"step {GRU_STEP}")
         layers = [GRU(HIDDEN_SIZE, GRU_STEP),
                   Dense(1, HIDDEN_SIZE, "sigmoid")]
     else:

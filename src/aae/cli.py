@@ -202,11 +202,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _positive_float(text: str) -> float:
@@ -233,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, corpus=True, training=True):
-        # A string default goes through type=int, so a bad AAE_SEED is a
-        # usage error.
-        p.add_argument("--seed", type=int,
+        # A string default goes through type, so AAE_SEED is checked too.
+        p.add_argument("--seed", type=_int_at_least(0),
                        default=os.environ.get("AAE_SEED", "0"))
         p.add_argument("--out", required=True)
         if corpus:
@@ -244,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--arch", default="scnn",
                            choices=[a.value for a in
                                     classifiers.Architecture])
-            p.add_argument("--epochs", type=_positive_int,
+            p.add_argument("--epochs", type=_int_at_least(1),
                            default=classifiers.DEFAULT_EPOCHS)
-            p.add_argument("--batch-size", type=_positive_int,
+            p.add_argument("--batch-size", type=_int_at_least(1),
                            default=classifiers.DEFAULT_BATCH_SIZE)
             p.add_argument("--lr", type=_positive_float,
                            default=classifiers.DEFAULT_LEARNING_RATE)
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--sample-fraction", type=float, default=0.1)
-    p.add_argument("--max-rounds", type=_positive_int, default=20)
+    p.add_argument("--max-rounds", type=_int_at_least(1), default=20)
     p.add_argument("--uncertainty", action="store_true",
                    help="sample lowest-confidence points instead of "
                         "uniformly")
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure mean prediction latency")
     common(p, training=False)
-    p.add_argument("--count", type=_positive_int, default=50)
+    p.add_argument("--count", type=_int_at_least(1), default=50)
     p.set_defaults(func=cmd_bench)
 
     return parser

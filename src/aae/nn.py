@@ -7,9 +7,10 @@ divided by the batch size by the loss, so sgd averages over the batch.
 
 Layer inputs: Conv1D and MaxPool1D take (batch, channels, length), Dense
 takes (batch, features), and GRU takes (batch, steps, input_size) with a
-(batch, steps) prefix mask. Network.forward takes flat (batch, input_len)
-vectors and a mask of the same shape; it adds the channel axis before the
-first Conv1D and cuts the vector into input_size-wide steps before a GRU.
+(batch, steps) prefix mask. Network.forward hands its flat (batch, input_len)
+input and mask to layers[0] alone: a Conv1D gets a channel axis, a GRU gets
+input_size-wide steps and a step mask (the Network checks when built that
+the step divides input_len), and any other layer gets the input as is.
 Each layer defines forward and backward (Dense also backward_preact) on its
 own class, with no shared base: the benchmark tracer patches these class
 attributes by name.
@@ -312,10 +313,9 @@ class GRU:
         return h
 
     def backward(self, dh: np.ndarray) -> None:
-        Wz, Wr, Wh = self.W
+        Uz, Ur, Uh = self.W[:, :, :self.hidden_size]
         dWz, dWr, dWh = self.dW = np.zeros_like(self.W)
         dbz, dbr, dbh = self.db = np.zeros_like(self.b)
-        hidden = self.hidden_size
         for m, h_prev, cat, cat_h, z, r, h_cand in reversed(self._cache):
             dh_step = dh * m
             dh_prev = dh * (1.0 - m) + dh_step * (1.0 - z)
@@ -326,9 +326,9 @@ class GRU:
             da_h = dcand * (1.0 - h_cand * h_cand)
             dWh += da_h.T @ cat_h
             dbh += da_h.sum(axis=0)
-            dcat_h = da_h @ Wh
-            dr = dcat_h[:, :hidden] * h_prev
-            dh_prev = dh_prev + dcat_h[:, :hidden] * r
+            dhr = da_h @ Uh
+            dr = dhr * h_prev
+            dh_prev = dh_prev + dhr * r
 
             da_z = dz * z * (1.0 - z)
             dWz += da_z.T @ cat
@@ -337,8 +337,7 @@ class GRU:
             dWr += da_r.T @ cat
             dbr += da_r.sum(axis=0)
 
-            dcat = da_z @ Wz + da_r @ Wr
-            dh = dh_prev + dcat[:, :hidden]
+            dh = dh_prev + (da_z @ Uz + da_r @ Ur)
         # Inputs are raw features; no upstream layer consumes their gradient.
 
     def params(self):
@@ -352,9 +351,12 @@ class GRU:
 
 
 class Network:
-    """An ordered layer chain ending in a 1-unit sigmoid head."""
+    """A layer chain ending in a 1-unit sigmoid head; layers[0] takes x."""
 
     def __init__(self, layers: list, arch: str, input_len: int, seed: int):
+        if layers[0].kind == "gru" and input_len % layers[0].input_size:
+            raise ShapeError(f"input length {input_len} is not a multiple of "
+                             f"the gru step {layers[0].input_size}")
         self.layers = layers
         self.arch = arch
         self.input_len = input_len
@@ -371,27 +373,22 @@ class Network:
         if x.ndim != 2 or x.shape[1] != self.input_len:
             raise ShapeError(
                 f"expected input of length {self.input_len}, got {x.shape}")
-        out = x
-        for layer in self.layers:
-            if isinstance(layer, GRU):
-                if mask is None or mask.shape != x.shape:
-                    raise ShapeError(
-                        f"this network needs a mask of shape {x.shape}")
-                # Chunk the flat vector into vector timesteps; a chunk
-                # counts as real if any of its entries is real.
-                batch, length = out.shape
-                step = layer.input_size
-                if length % step:
-                    raise ShapeError(
-                        f"input length {length} not divisible by the "
-                        f"gru step size {step}")
-                out = layer.forward(
-                    out.reshape(batch, length // step, step),
-                    mask.reshape(batch, length // step, step).max(axis=2))
-            elif isinstance(layer, Conv1D) and out.ndim == 2:
-                out = layer.forward(out[:, None, :])
-            else:
-                out = layer.forward(out)
+        first = self.layers[0]
+        if first.kind == "gru":
+            if mask is None or mask.shape != x.shape:
+                raise ShapeError(
+                    f"this network needs a mask of shape {x.shape}")
+            # Chunk the flat vector into vector timesteps; a chunk counts as
+            # real if any of its entries is real.
+            steps = (-1, self.input_len // first.input_size, first.input_size)
+            out = first.forward(x.reshape(steps),
+                                mask.reshape(steps).max(axis=2))
+        elif first.kind == "conv1d":
+            out = first.forward(x[:, None, :])
+        else:
+            out = first.forward(x)
+        for layer in self.layers[1:]:
+            out = layer.forward(out)
         return out[:, 0]
 
     def loss_and_backward(self, x: np.ndarray, mask: np.ndarray | None,
@@ -470,8 +467,14 @@ def load_network(path) -> Network:
         layers = [_LAYER_CLASSES[s["kind"]](
                       **{k: v for k, v in s.items() if k != "kind"})
                   for s in header["layers"]]
-        net = Network(layers, arch=header["arch"],
-                      input_len=header["input_len"], seed=header["seed"])
+        seed, arch = header["seed"], header["arch"]
+        head = layers[-1].spec() if layers else {}
+        if type(seed) is not int or seed < 0 or type(arch) is not str:
+            raise ValueError("seed must be an int >= 0 and arch a string")
+        if (head.get("kind"), head.get("units"), head.get("activation")) != (
+                "dense", 1, "sigmoid"):
+            raise ValueError("the chain must end in a 1-unit sigmoid dense")
+        net = Network(layers, arch, header["input_len"], seed)
         # The layers must accept an input of the header's input_len.
         probe = np.zeros((1, net.input_len))
         net.forward(probe, np.ones_like(probe))

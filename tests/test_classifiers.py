@@ -71,7 +71,7 @@ class TestBuild:
         assert net.layers[0].input_size == classifiers.GRU_STEP
 
     def test_gru_step_must_divide_input_length(self):
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ShapeError) as exc:
             build("gru", 100)
         assert "100" in str(exc.value) and "8" in str(exc.value)
 

@@ -93,6 +93,9 @@ class TestGen:
     (["sweep", "--fractions", ""], None),
     (["sweep", "--fractions", ","], None),
     (["gen", "--count", "5", "--max-len", "256"], None),
+    (["gen", "--count", "5", "--seed", "-1"], None),
+    (["train", "--seed", "-1"], None),
+    (["train"], "-2"),
 ])
 def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
                               monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,12 @@ from aae.nn import (
     sigmoid,
 )
 from conftest import numeric_gradient
+
+
+def with_header(lines, **fields):
+    """A saved network's lines with some header fields replaced."""
+    header = {**json.loads(lines[1]), **fields}
+    return [lines[0], json.dumps(header, separators=(",", ":"))] + lines[2:]
 
 
 def init_layer(layer, seed=0):
@@ -226,9 +233,16 @@ class TestGRU:
         assert out.shape == (2, 3)
 
     def test_network_input_not_multiple_of_step(self):
-        net = small_gru_network(length=10, step=4)
+        with pytest.raises(ShapeError) as exc:
+            small_gru_network(length=10, step=4)
+        assert "10" in str(exc.value) and "4" in str(exc.value)
+
+    @pytest.mark.parametrize("mask", [None, np.ones((1, 6)),
+                                      np.ones((2, 8))])
+    def test_network_mask_must_match_input(self, mask):
+        net = small_gru_network(length=8, step=2)
         with pytest.raises(ShapeError):
-            net.forward(np.zeros((1, 10)), np.ones((1, 10)))
+            net.forward(np.zeros((1, 8)), mask)
 
 
 def small_conv_network(seed=0, length=16):
@@ -403,6 +417,7 @@ class TestSerialization:
         path = tmp_path / "net.txt"
         save_network(small_conv_network(seed=5), path)
         lines = path.read_text().splitlines()
+        header = json.loads(lines[1])
         bias = lines.index("tensor 0 b 3")
         bad_files = {
             "wrong tag": (["something else"], 1),
@@ -433,7 +448,26 @@ class TestSerialization:
                 + lines[2:], 2),
             "header nested 100,000 deep": (
                 [lines[0], "[" * 100_000 + "]" * 100_000] + lines[2:], 2),
+            "no layers": (with_header(lines, layers=[]), 2),
+            "chain ends in a flatten": (
+                with_header(lines, layers=header["layers"][:-1]), 2),
+            "linear head": (
+                with_header(lines, layers=header["layers"][:-1] + [
+                    {**header["layers"][-1], "activation": "linear"}]), 2),
+            "two-unit head": (
+                with_header(lines, layers=header["layers"][:-1] + [
+                    {**header["layers"][-1], "units": 2}]), 2),
         }
+        save_network(small_gru_network(seed=6), path)
+        gru_lines = path.read_text().splitlines()
+        gru_header = json.loads(gru_lines[1])
+        for field, value in [("seed", "x"), ("seed", 1.5), ("seed", True),
+                             ("seed", -1), ("seed", None), ("arch", 5),
+                             ("arch", None)]:
+            bad_files[f"gru {field} {value!r}"] = (
+                with_header(gru_lines, **{field: value}), 2)
+        bad_files["chain ends in a gru"] = (
+            with_header(gru_lines, layers=gru_header["layers"][:1]), 2)
         for name, (content, line) in bad_files.items():
             path.write_text("\n".join(content) + "\n",
                             errors="surrogateescape")
