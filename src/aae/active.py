@@ -51,7 +51,6 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
         raise ValidationError("sample_fraction must lie in (0, 1]")
     if any(inst.label is None for inst in pool):
         raise ValidationError("pool instances must carry oracle labels")
-    train_kwargs = dict(train_kwargs or {})
 
     rng = np.random.default_rng(seed)
     input_len = pool[0].vector.size
@@ -77,7 +76,7 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
         labeled = np.concatenate([labeled, picked])
 
         train(net, [pool[i] for i in labeled],
-              seed=seed + len(report), **train_kwargs)
+              seed=seed + len(report), **(train_kwargs or {}))
 
         probs = predict_batch(net, pool)
         confidence = np.maximum(probs, 1.0 - probs)
@@ -99,6 +98,12 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
     return net, report
 
 
+def _fit(corpus, arch, rows, seed: int, train_kwargs: dict | None):
+    net = build(arch, corpus[0].vector.size, seed=seed)
+    train(net, [corpus[i] for i in rows], seed=seed, **(train_kwargs or {}))
+    return net
+
+
 def cross_validate(corpus: list[EvaluationInstance], arch: Architecture | str,
                    k: int, seed: int = 0,
                    train_kwargs: dict | None = None) -> dict:
@@ -108,20 +113,15 @@ def cross_validate(corpus: list[EvaluationInstance], arch: Architecture | str,
     if len(corpus) < k:
         raise ValidationError(
             f"corpus of {len(corpus)} instances cannot form {k} folds")
-    train_kwargs = dict(train_kwargs or {})
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
     folds = np.array_split(order, k)
 
-    input_len = corpus[0].vector.size
     accuracies = []
     for i, fold in enumerate(folds):
-        test = [corpus[j] for j in fold]
-        train_set = [corpus[j] for other in folds if other is not fold
-                     for j in other]
-        net = build(arch, input_len, seed=seed + i)
-        train(net, train_set, seed=seed + i, **train_kwargs)
-        accuracies.append(evaluate(net, test))
+        rows = np.concatenate(folds[:i] + folds[i + 1:])
+        net = _fit(corpus, arch, rows, seed + i, train_kwargs)
+        accuracies.append(evaluate(net, [corpus[j] for j in fold]))
     return {
         "fold_accuracies": accuracies,
         "mean": float(np.mean(accuracies)),
@@ -133,12 +133,10 @@ def train_fraction_sweep(corpus: list[EvaluationInstance],
                          arch: Architecture | str, fractions,
                          seed: int = 0,
                          train_kwargs: dict | None = None) -> list[dict]:
-    """Train on each fraction of the corpus, evaluate on the remainder."""
-    train_kwargs = dict(train_kwargs or {})
-    rows = []
+    """Check every fraction, then train on each and evaluate on the rest."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))
-    input_len = corpus[0].vector.size if corpus else 0
+    splits = []
     for fraction in fractions:
         fraction = float(fraction)
         if not 0.0 < fraction < 1.0:
@@ -147,13 +145,13 @@ def train_fraction_sweep(corpus: list[EvaluationInstance],
         if cut == 0 or cut == len(corpus):
             raise ValidationError(
                 f"fraction {fraction} leaves an empty split")
-        train_set = [corpus[i] for i in order[:cut]]
-        test_set = [corpus[i] for i in order[cut:]]
-        net = build(arch, input_len, seed=seed)
-        train(net, train_set, seed=seed, **train_kwargs)
+        splits.append((fraction, order[:cut], order[cut:]))
+    rows = []
+    for fraction, train_rows, test_rows in splits:
+        net = _fit(corpus, arch, train_rows, seed, train_kwargs)
         rows.append({
             "fraction": fraction,
-            "train_accuracy": evaluate(net, train_set),
-            "test_accuracy": evaluate(net, test_set),
+            "train_accuracy": evaluate(net, [corpus[i] for i in train_rows]),
+            "test_accuracy": evaluate(net, [corpus[i] for i in test_rows]),
         })
     return rows

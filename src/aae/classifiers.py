@@ -58,7 +58,7 @@ def _conv_stack(deep: bool) -> list:
 
 def build(arch: Architecture | str, input_len: int, seed: int = 0) -> Network:
     """Construct and initialize one architecture for a fixed input length."""
-    arch = Architecture.parse(arch) if isinstance(arch, str) else arch
+    arch = Architecture.parse(arch)
     if arch is Architecture.GRU:
         layers = [GRU(HIDDEN_SIZE, GRU_STEP),
                   Dense(1, HIDDEN_SIZE, "sigmoid")]
@@ -74,7 +74,7 @@ def build(arch: Architecture | str, input_len: int, seed: int = 0) -> Network:
 def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
     """Per-layer output lengths of the conv/pool stack; an input too short
     for a layer raises ShapeError naming that layer."""
-    arch = Architecture.parse(arch) if isinstance(arch, str) else arch
+    arch = Architecture.parse(arch)
     if arch is Architecture.GRU:
         raise ValidationError("the GRU architecture has no conv stack")
     lengths = []

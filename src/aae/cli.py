@@ -96,16 +96,16 @@ def generate_labeled_corpus(profile: str, count: int, seed: int):
     return header, instances
 
 
-def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    """One CSV row per dict, in column order; floats as .9g."""
+def _write_csv(path, rows: list[dict]) -> None:
+    """A header of the first row's keys, then one row per dict; floats .9g."""
     import csv
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
         writer.writerows(
-            [f"{row[c]:.9g}" if isinstance(row[c], float) else row[c]
-             for c in columns] for row in rows)
+            {c: f"{v:.9g}" if isinstance(v, float) else v
+             for c, v in row.items()} for row in rows)
 
 
 def _train_kwargs(args) -> dict:
@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
     net = classifiers.build(args.arch, corpus[0].vector.size, seed=args.seed)
     log = classifiers.train(net, corpus, seed=args.seed,
                             **_train_kwargs(args))
-    _write_csv(args.out, ["epoch", "loss", "accuracy"], log)
+    _write_csv(args.out, log)
     if args.params_out:
         nn.save_network(net, args.params_out)
     print(f"trained {args.arch} for {len(log)} epochs, "
@@ -146,9 +146,7 @@ def cmd_active(args) -> int:
         sample_fraction=args.sample_fraction, max_rounds=args.max_rounds,
         seed=args.seed, uncertainty_sampling=args.uncertainty,
         train_kwargs=_train_kwargs(args))
-    _write_csv(args.out,
-               ["round", "labeled", "unlabeled", "retired",
-                "labeled_accuracy", "unlabeled_accuracy"], report)
+    _write_csv(args.out, report)
     if args.params_out:
         nn.save_network(net, args.params_out)
     last = report[-1]
@@ -162,8 +160,7 @@ def cmd_sweep(args) -> int:
     rows = active_mod.train_fraction_sweep(
         corpus, args.arch, args.fractions, seed=args.seed,
         train_kwargs=_train_kwargs(args))
-    _write_csv(args.out, ["fraction", "train_accuracy", "test_accuracy"],
-               rows)
+    _write_csv(args.out, rows)
     print(f"sweep over {len(rows)} fractions written to {args.out}")
     return EXIT_OK
 
@@ -176,7 +173,7 @@ def cmd_cv(args) -> int:
     rows = [{"fold": i, "accuracy": acc}
             for i, acc in enumerate(result["fold_accuracies"])]
     rows += [{"fold": key, "accuracy": result[key]} for key in ("mean", "std")]
-    _write_csv(args.out, ["fold", "accuracy"], rows)
+    _write_csv(args.out, rows)
     print(f"cv mean {result['mean']:.4f} std {result['std']:.4f}")
     return EXIT_OK
 
@@ -198,7 +195,7 @@ def cmd_bench(args) -> int:
         mean = (time.perf_counter() - start) / len(sample)
         rows.append({"arch": arch.value, "mean_seconds": mean})
         print(f"{arch.value}: {mean * 1e3:.2f} ms/prediction")
-    _write_csv(args.out, ["arch", "mean_seconds"], rows)
+    _write_csv(args.out, rows)
     return EXIT_OK
 
 

@@ -61,7 +61,7 @@ def extract_dataset_features(g: GraphStats) -> np.ndarray:
         float(g.num_edge_types),
         float(g.num_property_types),
     ]
-    tail = [math.log1p(card) for _, card in g.property_cardinalities]
+    tail = [math.log1p(card) for card in g.property_cardinalities]
     return np.array(head + tail, dtype=np.float64)
 
 
@@ -107,8 +107,7 @@ def assemble(g: GraphStats, w: WorkloadProfile, s_old: StorageConfig,
     vector[:parts.size] = parts
     mask = np.zeros(max_len, dtype=np.int8)
     mask[:parts.size] = 1
-    return EvaluationInstance(vector=vector, mask=mask, label=None,
-                             provenance={})
+    return EvaluationInstance(vector=vector, mask=mask)
 
 
 # ---------------------------------------------------------------------------

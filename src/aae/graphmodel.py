@@ -69,15 +69,19 @@ NUM_KINDS = len(OperationKind)
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Statistical and structural summary of one graph dataset."""
+    """Statistical and structural summary of one graph dataset; entry i of
+    `property_cardinalities` is the cardinality of property type i."""
 
     num_nodes: int
     num_edges: int
     data_size: int
     num_node_types: int
     num_edge_types: int
-    num_property_types: int
-    property_cardinalities: tuple[tuple[int, int], ...]
+    property_cardinalities: tuple[int, ...]
+
+    @property
+    def num_property_types(self) -> int:
+        return len(self.property_cardinalities)
 
     def __post_init__(self):
         if min(self.num_nodes, self.num_edges, self.data_size) < 0:
@@ -85,14 +89,7 @@ class GraphStats:
         if min(self.num_node_types, self.num_edge_types,
                self.num_property_types) < 1:
             raise ValidationError("type counts must be >= 1")
-        if len(self.property_cardinalities) != self.num_property_types:
-            raise ValidationError(
-                "property_cardinalities length must equal num_property_types"
-            )
-        ids = [pid for pid, _ in self.property_cardinalities]
-        if ids != list(range(self.num_property_types)):
-            raise ValidationError("property ids must be 0..P-1, unique, sorted")
-        if any(card < 1 for _, card in self.property_cardinalities):
+        if any(card < 1 for card in self.property_cardinalities):
             raise ValidationError("property cardinalities must be >= 1")
 
 
@@ -163,10 +160,7 @@ def generate_graph_stats(profile_name: str, seed: int) -> GraphStats:
         data_size=BYTES_PER_ELEMENT * (nodes + edges),
         num_node_types=node_types,
         num_edge_types=edge_types,
-        num_property_types=prop_types,
-        property_cardinalities=tuple(
-            (i, int(c)) for i, c in enumerate(cards)
-        ),
+        property_cardinalities=tuple(int(c) for c in cards),
     )
 
 

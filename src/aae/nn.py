@@ -414,8 +414,6 @@ class Network:
     def sgd_step(self, learning_rate: float) -> None:
         for layer in self.layers:
             for _, value, grad in layer.params():
-                if value.shape != grad.shape:
-                    raise ShapeError("parameter/gradient shape mismatch")
                 value -= learning_rate * grad
 
     def parameter_tensors(self) -> list[tuple[int, str, np.ndarray]]:

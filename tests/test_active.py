@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aae import active
 from aae.active import active_loop, cross_validate, evaluate, \
     train_fraction_sweep
 from aae.classifiers import build
@@ -162,3 +163,26 @@ class TestTrainFractionSweep:
             train_fraction_sweep(corpus, "gru", [0.001], seed=0)
         with pytest.raises(ValidationError):
             train_fraction_sweep(corpus, "gru", [1.5], seed=0)
+
+    @pytest.mark.parametrize("fractions", [[0.5, 1.5], [0.5, 0.001]])
+    def test_every_fraction_checked_before_training(self, fractions,
+                                                     monkeypatch):
+        calls = []
+        train = active.train
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(active, "train", counted)
+        with pytest.raises(ValidationError):
+            train_fraction_sweep(separable_corpus(n=10), "gru", fractions,
+                                 seed=0)
+        assert len(calls) == 0
+
+    def test_duplicate_fractions_give_equal_rows(self):
+        corpus = separable_corpus(n=60)
+        rows = train_fraction_sweep(corpus, "gru", [0.5, 0.5], seed=4,
+                                    train_kwargs=FAST)
+        assert len(rows) == 2
+        assert rows[0] == rows[1]

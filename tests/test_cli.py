@@ -121,6 +121,22 @@ def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,header", [
+    (["train", "--epochs", "1"], "epoch,loss,accuracy"),
+    (["active", "--max-rounds", "1", "--epochs", "1"],
+     "round,labeled,unlabeled,retired,labeled_accuracy,unlabeled_accuracy"),
+    (["sweep", "--fractions", "0.5", "--epochs", "1"],
+     "fraction,train_accuracy,test_accuracy"),
+    (["cv", "--folds", "2", "--epochs", "1"], "fold,accuracy"),
+    (["bench", "--count", "1"], "arch,mean_seconds"),
+])
+def test_csv_header(argv, header, corpus_path, tmp_path):
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--corpus", corpus_path, "--out", str(out)) == EXIT_OK
+    with open(out, newline="") as fh:
+        assert fh.readline() == header + "\r\n"
+
+
 class TestTrain:
     def test_writes_log_and_params(self, corpus_path, tmp_path):
         log = tmp_path / "log.csv"

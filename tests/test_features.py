@@ -29,15 +29,13 @@ from aae.oracle import CostParams
 def minimal_stats():
     return GraphStats(num_nodes=1, num_edges=0, data_size=64,
                       num_node_types=1, num_edge_types=1,
-                      num_property_types=1,
-                      property_cardinalities=((0, 1),))
+                      property_cardinalities=(1,))
 
 
 def three_prop_stats():
     return GraphStats(num_nodes=100, num_edges=200, data_size=64 * 300,
                       num_node_types=2, num_edge_types=3,
-                      num_property_types=3,
-                      property_cardinalities=((0, 10), (1, 20), (2, 5)))
+                      property_cardinalities=(10, 20, 5))
 
 
 def uniform_workload(stats, freq=None):

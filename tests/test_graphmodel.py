@@ -70,17 +70,12 @@ class TestGenerateGraphStats:
         for seed in range(20):
             g = generate_graph_stats("random", seed)
             assert 10**3 <= g.num_nodes <= 10**7
-            for pid, card in g.property_cardinalities:
+            for card in g.property_cardinalities:
                 assert 2 <= card <= 10**4
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigurationError):
             generate_graph_stats("neo4j", 0)
-
-    def test_property_ids_sorted_unique(self):
-        g = generate_graph_stats("random", 3)
-        ids = [pid for pid, _ in g.property_cardinalities]
-        assert ids == list(range(g.num_property_types))
 
 
 class TestGraphStatsValidation:
@@ -88,15 +83,20 @@ class TestGraphStatsValidation:
         with pytest.raises(ValidationError):
             GraphStats(num_nodes=-1, num_edges=0, data_size=0,
                        num_node_types=1, num_edge_types=1,
-                       num_property_types=1,
-                       property_cardinalities=((0, 1),))
+                       property_cardinalities=(1,))
 
-    def test_cardinalities_length_checked(self):
-        with pytest.raises(ValidationError):
+    def test_no_property_types_rejected(self):
+        with pytest.raises(ValidationError, match="type counts must be >= 1"):
             GraphStats(num_nodes=1, num_edges=0, data_size=64,
                        num_node_types=1, num_edge_types=1,
-                       num_property_types=2,
-                       property_cardinalities=((0, 1),))
+                       property_cardinalities=())
+
+    def test_zero_cardinality_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="property cardinalities must be >= 1"):
+            GraphStats(num_nodes=1, num_edges=0, data_size=64,
+                       num_node_types=1, num_edge_types=1,
+                       property_cardinalities=(3, 0))
 
 
 def category_sum(w, cat):

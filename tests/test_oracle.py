@@ -19,9 +19,7 @@ def stats(nodes=100, edges=50, props=3):
     return GraphStats(num_nodes=nodes, num_edges=edges,
                       data_size=64 * (nodes + edges),
                       num_node_types=1, num_edge_types=1,
-                      num_property_types=props,
-                      property_cardinalities=tuple(
-                          (i, 10) for i in range(props)))
+                      property_cardinalities=(10,) * props)
 
 
 def workload(rates, freq=(0.5, 0.5, 0.5), n=100):

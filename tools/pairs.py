@@ -12,11 +12,14 @@ falls on both sides alike. The window is BENCHMARK.json's run_seconds;
 Writes BENCH_<short sha of REV>-<W>.json in the current directory: each
 side's env line, every pair's end-to-end metrics, each side's medians and
 quartiles (q1, q3), the change/parent ratio of the medians, the change's
-wins per metric, and the number of failed runs. A median breaks its bound
-when the change is worse than REV by more than the bound's fraction of
-REV's median. Exits 1 when any run fails, or when a median breaks its
-bound; --tiny figures are not comparable, so under --tiny broken bounds are
-listed but do not fail.
+wins per metric, the unresolved metrics, and the number of failed runs. A
+median breaks its bound when the change is worse than REV by more than the
+bound's fraction of REV's median. A metric is unresolved when either side's
+interquartile range is wider than that same fraction of REV's median, unless
+every run of the change is better than every run of REV; a ratio near 1 on
+an unresolved metric does not show it unchanged. Exits 1 when any run
+fails, or when a median breaks its bound; --tiny figures are not comparable,
+so under --tiny broken bounds are listed but do not fail.
 """
 import argparse
 import json
@@ -69,16 +72,18 @@ def quartiles(values: list[float]) -> list[float]:
 def summarize(pairs: list[dict], gated: list[dict]) -> dict:
     medians = {side: {} for side in SIDES}
     spread = {side: {} for side in SIDES}
-    ratio, wins, broken = {}, {}, []
+    ratio, wins, broken, unresolved = {}, {}, [], []
     both = [p for p in pairs if p["parent"] and p["change"]]
     for metric in gated:
         name = metric["name"]
         # Positive sign * (change - parent) means the change is worse.
         sign = 1.0 if metric["better"] == "lower" else -1.0
+        values = {}
         for side in SIDES:
-            values = [p[side][name] for p in pairs if p[side]]
-            medians[side][name] = statistics.median(values) if values else None
-            spread[side][name] = quartiles(values)
+            values[side] = [p[side][name] for p in pairs if p[side]]
+            medians[side][name] = (statistics.median(values[side])
+                                   if values[side] else None)
+            spread[side][name] = quartiles(values[side])
         wins[name] = sum(sign * (p["change"][name] - p["parent"][name]) < 0
                          for p in both)
         parent, change = medians["parent"][name], medians["change"][name]
@@ -88,8 +93,14 @@ def summarize(pairs: list[dict], gated: list[dict]) -> dict:
         ratio[name] = change / parent
         if sign * (ratio[name] - 1.0) > metric["bound"]:
             broken.append(name)
+        widest = max(spread[side][name][1] - spread[side][name][0]
+                     for side in SIDES)
+        separated = (max(sign * v for v in values["change"])
+                     < min(sign * v for v in values["parent"]))
+        if widest > metric["bound"] * parent and not separated:
+            unresolved.append(name)
     return {"median": medians, "quartiles": spread, "ratio": ratio,
-            "wins": wins, "broken": broken}
+            "wins": wins, "broken": broken, "unresolved": unresolved}
 
 
 def main(argv=None) -> int:
@@ -132,7 +143,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}: ratios {report['ratio']}, wins {report['wins']} "
           f"of {len(pairs)}, broken {report['broken']}, "
-          f"failed {report['failed']}")
+          f"unresolved {report['unresolved']}, failed {report['failed']}")
     return 1 if report["failed"] or (report["broken"] and not args.tiny) else 0
 
 
