@@ -20,6 +20,11 @@ DEFAULT_LEARNING_RATE = 0.01
 # Early stop when loss improvement stays below this over PATIENCE epochs.
 LOSS_IMPROVEMENT_EPS = 1e-6
 PATIENCE = 5
+# The learning rate is multiplied by RATE_GROWTH after an epoch whose mean
+# loss is at most the previous epoch's, and by RATE_CUT after one whose loss
+# is above it (Battiti, 1989, "Accelerated backpropagation learning").
+RATE_GROWTH = 1.05
+RATE_CUT = 0.5
 # An epoch's mean loss above ten times that of predicting 0.5 everywhere
 # (ln 2) counts as divergence.
 DIVERGED_LOSS = 10 * np.log(2.0)
@@ -112,16 +117,20 @@ def train(net: Network, corpus: list[EvaluationInstance],
           seed: int = 0) -> list[dict]:
     """Mini-batch SGD over the seeded-shuffled corpus.
 
-    Returns one log entry per epoch: epoch index, mean loss, and training
-    accuracy (measured on the pre-update batch predictions). Stops early on
-    perfect accuracy or a stalled loss; raises DivergenceError when an
-    epoch's mean loss is not at most DIVERGED_LOSS (NaN included).
+    Returns one log entry per epoch run: epoch index, mean loss, and
+    training accuracy (measured on the pre-update batch predictions). The
+    learning rate starts at `learning_rate` and then follows RATE_GROWTH and
+    RATE_CUT. Stops early on perfect accuracy or a stalled loss, and leaves
+    the network with the parameters it had at the end of its lowest-loss
+    epoch; raises DivergenceError when an epoch's mean loss is not at most
+    DIVERGED_LOSS (NaN included).
     """
     x, mask, y = _stack_corpus(corpus, require_labels=True)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     log: list[dict] = []
-    best_loss = np.inf
+    best_loss = previous_loss = np.inf
+    best_params: list[np.ndarray] = []
     stalled = 0
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -140,15 +149,24 @@ def train(net: Network, corpus: list[EvaluationInstance],
                 f"exceeds {DIVERGED_LOSS:.4g}")
         accuracy = correct / n
         log.append({"epoch": epoch, "loss": mean_loss, "accuracy": accuracy})
-        if accuracy >= 1.0:
-            break
         if best_loss - mean_loss < LOSS_IMPROVEMENT_EPS:
             stalled += 1
-            if stalled >= PATIENCE:
-                break
         else:
             stalled = 0
-        best_loss = min(best_loss, mean_loss)
+        if mean_loss < best_loss:
+            best_loss = mean_loss
+            best_params = [v.copy() for _, _, v in net.parameter_tensors()]
+        learning_rate *= (RATE_CUT if mean_loss > previous_loss
+                          else RATE_GROWTH)
+        previous_loss = mean_loss
+        if accuracy >= 1.0 or stalled >= PATIENCE:
+            break
+    # At a fixed rate, the epoch the stall rule stops at, and so the last
+    # epoch's weights, can hang on last-bit rounding; the lowest-loss
+    # epoch's weights under the adaptive rate hang on it far less
+    # (Prechelt, 1998, "Early Stopping -- But When?").
+    for (_, _, value), best in zip(net.parameter_tensors(), best_params):
+        value[...] = best
     return log
 
 

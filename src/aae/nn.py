@@ -23,6 +23,18 @@ of one zeroed dx. GRU stacks its z, r and h gates in one W of shape
 (3, H, H+input_size) and one b of shape (3, H); its params() returns the
 aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of them.
 
+Network.forward runs a leading Conv1D/MaxPool1D stack on the shortest
+prefix of the input that still covers every stack output position seeing a
+real entry, where the real entries end at the batch's last column holding a
+value other than the pad value -1. Past that column every row is pad, so
+each later output position holds one constant per channel; one all-pad row,
+appended to the cut batch, computes it, and its first output position fills
+those positions before the layers after the stack. loss_and_backward sums
+their gradient over the batch and the positions onto that one position of
+the pad row, and the unchanged layer backwards carry it. The cut is taken
+only when the cut batch, pad row included, has fewer entries than the
+whole one (a batch-1 row that is mostly real runs whole).
+
 Conventions (frozen): valid padding, stride 1 convolutions; pool stride =
 pool size with the trailing remainder dropped; max-pool ties break to the
 lowest index; initialization is uniform in +/-sqrt(6/(fan_in+fan_out)) with
@@ -31,10 +43,12 @@ zero biases.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
+from .features import PAD_VALUE
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -350,6 +364,28 @@ class GRU:
                 "input_size": self.input_size}
 
 
+def _windows(layers) -> list[tuple[int, int]]:
+    """(size, stride) of the window of each leading Conv1D or MaxPool1D."""
+    windows = []
+    for layer in layers:
+        if layer.kind == "conv1d":
+            windows.append((layer.kernel_size, 1))
+        elif layer.kind == "maxpool1d":
+            windows.append((layer.pool_size, layer.pool_size))
+        else:
+            break
+    return windows
+
+
+def covering_length(layers, positions: int) -> int:
+    """Shortest input whose output through the leading Conv1D and MaxPool1D
+    layers has `positions` positions: the inverse of the last entry of
+    classifiers.conv_output_lengths."""
+    for size, stride in reversed(_windows(layers)):
+        positions = (positions - 1) * stride + size
+    return positions
+
+
 class Network:
     """A layer chain ending in a 1-unit sigmoid head; layers[0] takes x."""
 
@@ -361,6 +397,8 @@ class Network:
         self.arch = arch
         self.input_len = input_len
         self.seed = seed
+        # (stack depth, computed positions) of the last forward's pad row.
+        self._pad_row = None
 
     def initialize(self) -> None:
         rng = np.random.default_rng(self.seed)
@@ -374,6 +412,8 @@ class Network:
             raise ShapeError(
                 f"expected input of length {self.input_len}, got {x.shape}")
         first = self.layers[0]
+        rest = self.layers[1:]
+        self._pad_row = None
         if first.kind == "gru":
             if mask is None or mask.shape != x.shape:
                 raise ShapeError(
@@ -384,12 +424,46 @@ class Network:
             out = first.forward(x.reshape(steps),
                                 mask.reshape(steps).max(axis=2))
         elif first.kind == "conv1d":
-            out = first.forward(x[:, None, :])
+            out, rest = self._conv_stack(x)
         else:
             out = first.forward(x)
-        for layer in self.layers[1:]:
+        for layer in rest:
             out = layer.forward(out)
         return out[:, 0]
+
+    def _conv_stack(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        """The leading conv/pool stack's output on x, taken from the cut
+        batch where that is smaller, and the layers after the stack."""
+        windows = _windows(self.layers)
+        stack = self.layers[:len(windows)]
+        batch, length = x.shape
+        out_len = length
+        for layer in stack:
+            out_len = layer.output_length(out_len)
+        # Output position j reads the input from j * stride on, so it sees
+        # a real entry only if j * stride < real.
+        real = np.flatnonzero((x != PAD_VALUE).any(axis=0))
+        real = int(real[-1]) + 1 if real.size else 0
+        stride = math.prod(step for _, step in windows)
+        positions = min(max(-(-real // stride), 1), out_len)
+        cut = covering_length(stack, positions)
+        pad_row = positions < out_len
+        out = x[:, None, :]
+        if (batch + pad_row) * cut < batch * length:
+            out = out[:, :, :cut]
+            if pad_row:
+                out = np.concatenate([out, np.full((1, 1, cut), PAD_VALUE)])
+        else:
+            pad_row = False
+        for layer in stack:
+            out = layer.forward(out)
+        if pad_row:
+            self._pad_row = (len(stack), positions)
+            tail = (batch, out.shape[1], out_len - positions)
+            out = np.concatenate(
+                [out[:batch], np.broadcast_to(out[batch:, :, :1], tail)],
+                axis=2)
+        return out, self.layers[len(stack):]
 
     def loss_and_backward(self, x: np.ndarray, mask: np.ndarray | None,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -407,7 +481,15 @@ class Network:
         batch = x.shape[0]
         dz = ((probs - targets) / batch)[:, None]
         grad = head.backward_preact(dz)
-        for layer in reversed(self.layers[:-1]):
+        depth, positions = self._pad_row or (0, None)
+        for layer in reversed(self.layers[depth:-1]):
+            grad = layer.backward(grad)
+        if self._pad_row:
+            # Every filled position is a copy of the pad row's first one.
+            pad = np.zeros((1, grad.shape[1], positions))
+            pad[0, :, 0] = grad[:, :, positions:].sum(axis=(0, 2))
+            grad = np.concatenate([grad[:, :, :positions], pad])
+        for layer in reversed(self.layers[:depth]):
             grad = layer.backward(grad)
         return loss, probs
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -14,7 +16,7 @@ from aae.classifiers import (
 )
 from aae.errors import ShapeError, ValidationError
 from aae.features import EvaluationInstance
-from aae.nn import GRU, Conv1D, load_network, save_network
+from aae.nn import GRU, Conv1D, covering_length, load_network, save_network
 
 
 def make_instance(rng, length=64, real=44, label=None):
@@ -79,6 +81,18 @@ class TestBuild:
         with pytest.raises(ShapeError) as exc:
             build("scnn", 8)
         assert "scnn layer" in str(exc.value)
+
+    @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
+    def test_covering_length_inverts_output_lengths(self, arch):
+        layers = build(arch, 256).layers
+        for positions in range(1, 27):
+            length = covering_length(layers, positions)
+            assert conv_output_lengths(arch, length)[-1] == positions
+            if positions > 1:
+                assert conv_output_lengths(arch, length - 1)[-1] == \
+                    positions - 1
+        with pytest.raises(ShapeError):
+            conv_output_lengths(arch, covering_length(layers, 1) - 1)
 
     def test_unknown_arch(self):
         with pytest.raises(ValidationError):
@@ -160,6 +174,30 @@ class TestTrain:
         log = train(net, [inst], epochs=30, batch_size=1, seed=0)
         losses = [row["loss"] for row in log]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("arch, length, lr",
+                             [("gru", 16, 1.0), ("scnn", 64, 0.3)])
+    def test_ends_with_the_lowest_loss_epoch(self, arch, length, lr):
+        # Every vector comes with both labels, so accuracy stays below 1,
+        # and at this lr the loss rises again after its lowest epoch.
+        rng = np.random.default_rng(0)
+        corpus = [dataclasses.replace(inst, label=label)
+                  for inst in [make_instance(rng, length, 8)
+                               for _ in range(6)]
+                  for label in (0, 1)]
+        settings = {"learning_rate": lr, "batch_size": 4, "seed": 0}
+        net = build(arch, length, seed=0)
+        log = train(net, corpus, epochs=60, **settings)
+        assert [row["epoch"] for row in log] == list(range(len(log)))
+        losses = [row["loss"] for row in log]
+        best = losses.index(min(losses))
+        assert best < len(log) - 1 < 59
+        rerun = build(arch, length, seed=0)
+        assert train(rerun, corpus, epochs=best + 1, **settings) == \
+            log[:best + 1]
+        for (_, _, got), (_, _, want) in zip(net.parameter_tensors(),
+                                             rerun.parameter_tensors()):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn", "gru"])
     def test_separable_corpus_learned(self, arch):

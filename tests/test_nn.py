@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from aae.classifiers import build
 from aae.errors import ParseError, ShapeError, ValidationError
+from aae.features import PAD_VALUE
 from aae.nn import (
     GRU,
     Conv1D,
@@ -300,6 +302,18 @@ class TestBackward:
         y = rng.integers(0, 2, size=2).astype(float)
         check_gradients(net, x, None, y)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv_network_gradients_through_the_pad_row(self, seed):
+        rng = np.random.default_rng(seed + 200)
+        net = small_conv_network(seed=seed, length=40)
+        x = np.full((2, 40), PAD_VALUE)
+        x[0, :6] = rng.normal(size=6)
+        x[1, :3] = rng.normal(size=3)
+        y = rng.integers(0, 2, size=2).astype(float)
+        check_gradients(net, x, None, y)
+        # The first conv ran on the cut batch: both rows and the pad row.
+        assert net.layers[0]._cache[0].shape == (3, 1, 10)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gru_network_gradients(self, seed):
         rng = np.random.default_rng(seed + 100)
@@ -329,6 +343,54 @@ class TestBackward:
         net.loss_and_backward(x, None, np.array([0.5]))
         assert np.all(head.dW == 0.0)
         assert np.all(head.db == 0.0)
+
+
+def plain_chain(net, x, y):
+    """Probabilities and parameter gradients of every layer run on the whole
+    input, one after another: the reference for Network's cut."""
+    out = x[:, None, :]
+    for layer in net.layers:
+        out = layer.forward(out)
+    probs = out[:, 0]
+    grad = net.layers[-1].backward_preact(((probs - y) / len(y))[:, None])
+    for layer in reversed(net.layers[:-1]):
+        grad = layer.backward(grad)
+    return probs, [g.copy() for layer in net.layers
+                   for _, _, g in layer.params()]
+
+
+class TestConvCut:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("arch, length", [
+        ("scnn", 64), ("scnn", 256), ("scnn", 320),
+        # 96 is the shortest multiple of 32 a DCNN accepts.
+        ("dcnn", 96), ("dcnn", 256), ("dcnn", 320)])
+    def test_matches_the_plain_chain(self, arch, length, data):
+        rows = data.draw(st.integers(1, 40))
+        # Row 0 is the longest; it is all-real in about half the examples.
+        longest = data.draw(st.one_of(st.just(length),
+                                      st.integers(0, length)))
+        reals = [longest] + data.draw(st.lists(
+            st.integers(0, longest), min_size=rows - 1, max_size=rows - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        net = build(arch, length, seed=1)
+        for layer in net.layers:
+            if layer.params():
+                layer.b = rng.normal(scale=0.1, size=layer.b.shape)
+        x = np.full((rows, length), PAD_VALUE)
+        mask = np.zeros((rows, length), dtype=np.int8)
+        for row, real in enumerate(reals):
+            x[row, :real] = rng.normal(size=real)
+            mask[row, :real] = 1
+        y = rng.integers(0, 2, size=rows).astype(float)
+
+        want_probs, want_grads = plain_chain(net, x, y)
+        assert np.abs(net.forward(x, mask) - want_probs).max() <= 1e-12
+        net.loss_and_backward(x, mask, y)
+        for layer in net.layers:
+            for _, _, got in layer.params():
+                assert np.abs(got - want_grads.pop(0)).max() <= 1e-9
 
 
 class TestSGD:

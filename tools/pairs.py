@@ -4,9 +4,11 @@ Usage: python3 tools/pairs.py --against REV --workload W --pairs N [--tiny]
 
 Checks out REV with `git worktree` under a temporary directory, runs
 `perfbench/run.py --trace 0` on REV and on the working tree in turn, and
-removes the worktree afterwards. Pair i (1..N) runs seed i on both sides,
-and the side that runs first swaps every pair, so drift on a shared host
-falls on both sides alike. The window is BENCHMARK.json's run_seconds;
+removes the worktree afterwards, also when SIGTERM or SIGINT stops the run
+(it then exits 128 plus the signal number and writes no file); worktrees
+whose directory is gone are pruned first. Pair i (1..N) runs seed i on both
+sides, and the side that runs first swaps every pair, so drift on a shared
+host falls on both sides alike. The window is BENCHMARK.json's run_seconds;
 --tiny passes through to run.py with a 1 s window.
 
 Writes BENCH_<short sha of REV>-<W>.json in the current directory: each
@@ -24,6 +26,7 @@ so under --tiny broken bounds are listed but do not fail.
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,6 +63,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
               file=sys.stderr)
         return env, None
     return env, {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def exit_on_signal(signum, frame):
+    """Turn a signal into SystemExit, so `finally` blocks run."""
+    raise SystemExit(128 + signum)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -116,8 +124,11 @@ def main(argv=None) -> int:
     seconds = 1 if args.tiny else bench["run_seconds"]
     rev = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
 
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, exit_on_signal)
     tmp = Path(tempfile.mkdtemp(prefix="pairs-"))
     trees = {"parent": tmp / "parent", "change": ROOT}
+    git("worktree", "prune")
     git("worktree", "add", "--detach", str(trees["parent"]), rev)
     env, pairs = {}, []
     try:

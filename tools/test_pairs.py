@@ -1,9 +1,11 @@
-"""Tests of tools/pairs.py: its summary of synthetic pairs, and one --tiny
-pair against HEAD.
+"""Tests of tools/pairs.py: its summary of synthetic pairs, one --tiny pair
+against HEAD, and its clean-up when a signal stops it.
 
     python3 -m pytest tools
 """
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,26 @@ def test_failed_runs_exit_1(tmp_path):
     report = json.loads(path.read_text())
     assert report["failed"] == 2
     assert report["ratio"] == {name: None for name in GATED}
+
+
+def test_sigterm_removes_the_worktree(tmp_path):
+    # run_bench is stubbed to send SIGTERM to its own process, so no
+    # benchmark runs; the temporary directory goes under tmp_path.
+    before = worktrees()
+    stopped = (
+        "import os, signal, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'tools')!r})\n"
+        "import pairs\n"
+        "pairs.run_bench = lambda *args: os.kill(os.getpid(), "
+        "signal.SIGTERM)\n"
+        "pairs.main(['--against', 'HEAD', '--workload', 'serve-ldbc', "
+        "'--pairs', '2', '--tiny'])\n")
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    done = subprocess.run([sys.executable, "-c", stopped], cwd=tmp_path,
+                          env={**os.environ, "TMPDIR": str(scratch)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 128 + signal.SIGTERM, done.stderr
+    assert worktrees() == before
+    assert not list(scratch.iterdir())
+    assert not list(tmp_path.glob("BENCH_*.json"))
