@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError, ValidationError
 from .features import EvaluationInstance
-from .nn import GRU, Conv1D, Dense, Flatten, MaxPool1D, Network
+from .nn import (GRU, Conv1D, Dense, Flatten, MaxPool1D, Network,
+                 conv_lengths)
 
 HIDDEN_SIZE = 32
 # Scalars fed to the GRU per timestep. Chunking keeps the sequence short
@@ -20,11 +21,6 @@ DEFAULT_LEARNING_RATE = 0.01
 # Early stop when loss improvement stays below this over PATIENCE epochs.
 LOSS_IMPROVEMENT_EPS = 1e-6
 PATIENCE = 5
-# The learning rate is multiplied by RATE_GROWTH after an epoch whose mean
-# loss is at most the previous epoch's, and by RATE_CUT after one whose loss
-# is above it (Battiti, 1989, "Accelerated backpropagation learning").
-RATE_GROWTH = 1.05
-RATE_CUT = 0.5
 # An epoch's mean loss above ten times that of predicting 0.5 everywhere
 # (ln 2) counts as divergence.
 DIVERGED_LOSS = 10 * np.log(2.0)
@@ -82,16 +78,11 @@ def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
     arch = Architecture.parse(arch)
     if arch is Architecture.GRU:
         raise ValidationError("the GRU architecture has no conv stack")
-    lengths = []
-    length = input_len
-    for i, layer in enumerate(_conv_stack(deep=arch is Architecture.DCNN)):
-        try:
-            length = layer.output_length(length)
-        except ShapeError as exc:
-            raise ShapeError(
-                f"{arch.value} layer {i} ({layer.kind}): {exc}") from exc
-        lengths.append(length)
-    return lengths
+    stack = _conv_stack(deep=arch is Architecture.DCNN)
+    try:
+        return conv_lengths(stack, input_len)
+    except ShapeError as exc:
+        raise ShapeError(f"{arch.value} {exc}") from exc
 
 
 def _stack_corpus(instances: list[EvaluationInstance], require_labels: bool):
@@ -115,25 +106,21 @@ def train(net: Network, corpus: list[EvaluationInstance],
           epochs: int = DEFAULT_EPOCHS, batch_size: int = DEFAULT_BATCH_SIZE,
           learning_rate: float = DEFAULT_LEARNING_RATE,
           seed: int = 0) -> list[dict]:
-    """Mini-batch SGD over the seeded-shuffled corpus.
+    """Mini-batch SGD over stratified seeded shuffles of the corpus.
 
-    Returns one log entry per epoch run: epoch index, mean loss, and
-    training accuracy (measured on the pre-update batch predictions). The
-    learning rate starts at `learning_rate` and then follows RATE_GROWTH and
-    RATE_CUT. Stops early on perfect accuracy or a stalled loss, and leaves
-    the network with the parameters it had at the end of its lowest-loss
-    epoch; raises DivergenceError when an epoch's mean loss is not at most
-    DIVERGED_LOSS (NaN included).
+    Returns one log entry per epoch: epoch index, mean loss, and training
+    accuracy (measured on the pre-update batch predictions). Stops early on
+    perfect accuracy or a stalled loss; raises DivergenceError when an
+    epoch's mean loss is not at most DIVERGED_LOSS (NaN included).
     """
     x, mask, y = _stack_corpus(corpus, require_labels=True)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     log: list[dict] = []
-    best_loss = previous_loss = np.inf
-    best_params: list[np.ndarray] = []
+    best_loss = np.inf
     stalled = 0
     for epoch in range(epochs):
-        order = rng.permutation(n)
+        order = _stratified_order(rng, y)
         total_loss = 0.0
         correct = 0
         for start in range(0, n, batch_size):
@@ -149,25 +136,35 @@ def train(net: Network, corpus: list[EvaluationInstance],
                 f"exceeds {DIVERGED_LOSS:.4g}")
         accuracy = correct / n
         log.append({"epoch": epoch, "loss": mean_loss, "accuracy": accuracy})
+        if accuracy >= 1.0:
+            break
         if best_loss - mean_loss < LOSS_IMPROVEMENT_EPS:
             stalled += 1
+            if stalled >= PATIENCE:
+                break
         else:
             stalled = 0
-        if mean_loss < best_loss:
-            best_loss = mean_loss
-            best_params = [v.copy() for _, _, v in net.parameter_tensors()]
-        learning_rate *= (RATE_CUT if mean_loss > previous_loss
-                          else RATE_GROWTH)
-        previous_loss = mean_loss
-        if accuracy >= 1.0 or stalled >= PATIENCE:
-            break
-    # At a fixed rate, the epoch the stall rule stops at, and so the last
-    # epoch's weights, can hang on last-bit rounding; the lowest-loss
-    # epoch's weights under the adaptive rate hang on it far less
-    # (Prechelt, 1998, "Early Stopping -- But When?").
-    for (_, _, value), best in zip(net.parameter_tensors(), best_params):
-        value[...] = best
+        best_loss = min(best_loss, mean_loss)
     return log
+
+
+def _stratified_order(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+    """A seeded shuffle that spreads each label evenly over the epoch, so
+    every batch holds about the corpus's share of each label.
+
+    With plain shuffles, each step pulls the head's bias towards its own
+    batch's label share and the next batch pays for it: on a small corpus
+    that swing in the epoch's mean loss outweighs an epoch's progress
+    (Zhao & Zhang, 2014, "Accelerating Minibatch Stochastic Gradient
+    Descent using Stratified Sampling").
+    """
+    order = rng.permutation(y.size)
+    key = np.empty(y.size)
+    for label in (0, 1):
+        members = order[y[order] == label]
+        key[members] = ((np.arange(members.size) + rng.random(members.size))
+                        / members.size)
+    return np.argsort(key, kind="stable")
 
 
 def predict(net: Network, instance: EvaluationInstance) -> float:

@@ -42,6 +42,7 @@ zero biases.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -364,25 +365,36 @@ class GRU:
                 "input_size": self.input_size}
 
 
-def _windows(layers) -> list[tuple[int, int]]:
-    """(size, stride) of the window of each leading Conv1D or MaxPool1D."""
-    windows = []
-    for layer in layers:
-        if layer.kind == "conv1d":
-            windows.append((layer.kernel_size, 1))
-        elif layer.kind == "maxpool1d":
-            windows.append((layer.pool_size, layer.pool_size))
-        else:
+# Kinds of the leading layers that Network.forward may run on a cut batch.
+_STACK_KINDS = ("conv1d", "maxpool1d")
+
+
+def conv_lengths(layers, length: int) -> list[int]:
+    """Output length of each leading Conv1D or MaxPool1D layer on an input
+    of `length`; a ShapeError names the first layer the input is too short
+    for."""
+    lengths = []
+    for i, layer in enumerate(layers):
+        if layer.kind not in _STACK_KINDS:
             break
-    return windows
+        try:
+            length = layer.output_length(length)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
+        lengths.append(length)
+    return lengths
 
 
 def covering_length(layers, positions: int) -> int:
-    """Shortest input whose output through the leading Conv1D and MaxPool1D
-    layers has `positions` positions: the inverse of the last entry of
-    classifiers.conv_output_lengths."""
-    for size, stride in reversed(_windows(layers)):
-        positions = (positions - 1) * stride + size
+    """Shortest input on which the leading Conv1D and MaxPool1D layers give
+    `positions` output positions: the inverse of conv_lengths(...)[-1]."""
+    stack = itertools.takewhile(lambda layer: layer.kind in _STACK_KINDS,
+                                layers)
+    for layer in reversed(list(stack)):
+        if layer.kind == "conv1d":
+            positions += layer.kernel_size - 1
+        else:
+            positions *= layer.pool_size
     return positions
 
 
@@ -434,17 +446,16 @@ class Network:
     def _conv_stack(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         """The leading conv/pool stack's output on x, taken from the cut
         batch where that is smaller, and the layers after the stack."""
-        windows = _windows(self.layers)
-        stack = self.layers[:len(windows)]
         batch, length = x.shape
-        out_len = length
-        for layer in stack:
-            out_len = layer.output_length(out_len)
+        lengths = conv_lengths(self.layers, length)
+        depth, out_len = len(lengths), lengths[-1]
+        stack = self.layers[:depth]
         # Output position j reads the input from j * stride on, so it sees
         # a real entry only if j * stride < real.
         real = np.flatnonzero((x != PAD_VALUE).any(axis=0))
         real = int(real[-1]) + 1 if real.size else 0
-        stride = math.prod(step for _, step in windows)
+        stride = math.prod(layer.pool_size for layer in stack
+                           if layer.kind == "maxpool1d")
         positions = min(max(-(-real // stride), 1), out_len)
         cut = covering_length(stack, positions)
         pad_row = positions < out_len
@@ -458,12 +469,12 @@ class Network:
         for layer in stack:
             out = layer.forward(out)
         if pad_row:
-            self._pad_row = (len(stack), positions)
+            self._pad_row = (depth, positions)
             tail = (batch, out.shape[1], out_len - positions)
             out = np.concatenate(
                 [out[:batch], np.broadcast_to(out[batch:, :, :1], tail)],
                 axis=2)
-        return out, self.layers[len(stack):]
+        return out, self.layers[depth:]
 
     def loss_and_backward(self, x: np.ndarray, mask: np.ndarray | None,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:

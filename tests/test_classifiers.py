@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -14,6 +12,7 @@ from aae.classifiers import (
     predict_batch,
     train,
 )
+from aae.cli import generate_labeled_corpus
 from aae.errors import ShapeError, ValidationError
 from aae.features import EvaluationInstance
 from aae.nn import GRU, Conv1D, covering_length, load_network, save_network
@@ -175,29 +174,34 @@ class TestTrain:
         losses = [row["loss"] for row in log]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("arch, length, lr",
-                             [("gru", 16, 1.0), ("scnn", 64, 0.3)])
-    def test_ends_with_the_lowest_loss_epoch(self, arch, length, lr):
-        # Every vector comes with both labels, so accuracy stays below 1,
-        # and at this lr the loss rises again after its lowest epoch.
-        rng = np.random.default_rng(0)
-        corpus = [dataclasses.replace(inst, label=label)
-                  for inst in [make_instance(rng, length, 8)
-                               for _ in range(6)]
-                  for label in (0, 1)]
-        settings = {"learning_rate": lr, "batch_size": 4, "seed": 0}
-        net = build(arch, length, seed=0)
-        log = train(net, corpus, epochs=60, **settings)
-        assert [row["epoch"] for row in log] == list(range(len(log)))
-        losses = [row["loss"] for row in log]
-        best = losses.index(min(losses))
-        assert best < len(log) - 1 < 59
-        rerun = build(arch, length, seed=0)
-        assert train(rerun, corpus, epochs=best + 1, **settings) == \
-            log[:best + 1]
-        for (_, _, got), (_, _, want) in zip(net.parameter_tensors(),
-                                             rerun.parameter_tensors()):
-            np.testing.assert_array_equal(got, want)
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stratified_order_spreads_each_label(self, labels, seed):
+        y = np.array(labels, dtype=np.float64)
+        order = classifiers._stratified_order(np.random.default_rng(seed), y)
+        assert sorted(order) == list(range(y.size))
+        # Every prefix holds the corpus's share of 1-labels to within a row.
+        ones = np.cumsum(y[order])
+        share = np.arange(1, y.size + 1) * y.mean()
+        assert np.all(np.abs(ones - share) <= 1 + 1e-9)
+
+    @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_short_runs_stay_below_the_first_loss(self, arch, seed):
+        # Two-epoch runs that continue one network on 96 rows, as a
+        # benchmark unit does: each run's last epoch loss stays below the
+        # first run's first. With plain shuffles, the swing of the head's
+        # bias between batches put a later run above it for these seeds.
+        _, corpus = generate_labeled_corpus("freebase-small", 96, seed)
+        lr = {"scnn": 0.02, "dcnn": 0.03}[arch]
+        net = build(arch, corpus[0].vector.size, seed=seed)
+        first = None
+        for run in range(8):
+            log = train(net, corpus, epochs=2, learning_rate=lr,
+                        seed=seed * 1000 + run)
+            first = log[0]["loss"] if first is None else first
+            assert log[-1]["loss"] < first, run
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn", "gru"])
     def test_separable_corpus_learned(self, arch):
