@@ -85,21 +85,14 @@ def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
         raise ShapeError(f"{arch.value} {exc}") from exc
 
 
-def _stack_corpus(instances: list[EvaluationInstance], require_labels: bool):
+def _stack_vectors(instances: list[EvaluationInstance]) -> np.ndarray:
     if not instances:
         raise ValidationError("corpus is empty")
     lengths = {inst.vector.size for inst in instances}
     if len(lengths) > 1:
         raise ValidationError(
             f"instances must all have one length, saw {sorted(lengths)}")
-    x = np.stack([inst.vector for inst in instances])
-    mask = np.stack([inst.mask for inst in instances])
-    y = None
-    if require_labels:
-        if any(inst.label is None for inst in instances):
-            raise ValidationError("training instances must be labeled")
-        y = np.array([inst.label for inst in instances], dtype=np.float64)
-    return x, mask, y
+    return np.stack([inst.vector for inst in instances])
 
 
 def train(net: Network, corpus: list[EvaluationInstance],
@@ -113,7 +106,10 @@ def train(net: Network, corpus: list[EvaluationInstance],
     perfect accuracy or a stalled loss; raises DivergenceError when an
     epoch's mean loss is not at most DIVERGED_LOSS (NaN included).
     """
-    x, mask, y = _stack_corpus(corpus, require_labels=True)
+    x = _stack_vectors(corpus)
+    if any(inst.label is None for inst in corpus):
+        raise ValidationError("training instances must be labeled")
+    y = np.array([inst.label for inst in corpus], dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     log: list[dict] = []
@@ -125,7 +121,7 @@ def train(net: Network, corpus: list[EvaluationInstance],
         correct = 0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, probs = net.loss_and_backward(x[idx], mask[idx], y[idx])
+            loss, probs = net.loss_and_backward(x[idx], y[idx])
             net.sgd_step(learning_rate)
             total_loss += loss * idx.size
             correct += int(((probs >= 0.5) == (y[idx] == 1)).sum())
@@ -174,9 +170,6 @@ def predict(net: Network, instance: EvaluationInstance) -> float:
 
 def predict_batch(net: Network,
                   instances: list[EvaluationInstance]) -> np.ndarray:
-    x, mask, _ = _stack_corpus(instances, require_labels=False)
-    chunks = [
-        net.forward(x[i:i + 256], mask[i:i + 256])
-        for i in range(0, x.shape[0], 256)
-    ]
+    x = _stack_vectors(instances)
+    chunks = [net.forward(x[i:i + 256]) for i in range(0, x.shape[0], 256)]
     return np.concatenate(chunks)

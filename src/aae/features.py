@@ -1,8 +1,9 @@
 """Feature encoding: graph stats, workload, and storage into one padded vector.
 
 The concatenation order [dataset | workload | s_old | s_new] is frozen;
-reordering is a format-breaking change. Padding uses the -1 sentinel with a
-companion mask (1 = real entry).
+reordering is a format-breaking change. The pad rule: an entry is real if and
+only if it is not -1, and the real entries come first. Only corpus records
+also store a mask (1 = real entry), which must agree with the rule.
 """
 from __future__ import annotations
 
@@ -43,12 +44,16 @@ class StorageConfig:
 
 @dataclass
 class EvaluationInstance:
-    """One assembled, padded feature vector with mask and optional label."""
+    """One assembled, padded feature vector with optional label."""
 
     vector: np.ndarray
-    mask: np.ndarray
     label: int | None = None
     provenance: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """1 on each real entry, as a corpus record stores it."""
+        return (self.vector != PAD_VALUE).astype(np.int8)
 
 
 def extract_dataset_features(g: GraphStats) -> np.ndarray:
@@ -105,9 +110,7 @@ def assemble(g: GraphStats, w: WorkloadProfile, s_old: StorageConfig,
 
     vector = np.full(max_len, PAD_VALUE, dtype=np.float64)
     vector[:parts.size] = parts
-    mask = np.zeros(max_len, dtype=np.int8)
-    mask[:parts.size] = 1
-    return EvaluationInstance(vector=vector, mask=mask)
+    return EvaluationInstance(vector=vector)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +122,14 @@ def _round9(x: float) -> float:
 
 
 def instance_to_record(inst: EvaluationInstance) -> str:
+    vector = [_round9(v) for v in inst.vector]
+    mask = inst.mask
+    real = int(mask.sum())
+    if not mask[:real].all() or PAD_VALUE in vector[:real]:
+        raise ValidationError("a real entry is or renders as -1")
     record = {
-        "vector": [_round9(v) for v in inst.vector],
-        "mask": [int(m) for m in inst.mask],
+        "vector": vector,
+        "mask": mask.tolist(),
         "label": inst.label,
         "provenance": inst.provenance,
     }
@@ -138,24 +146,27 @@ def instance_from_record(line: str | bytes, lineno: int | None = None) -> Evalua
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise ParseError(f"bad instance record: {exc}", line=lineno) from exc
-    if vector.shape != mask.shape:
-        raise ParseError("vector and mask lengths differ", line=lineno)
-    if not np.isfinite(vector).all():
-        raise ParseError("vector holds a non-finite value", line=lineno)
-    if not np.array_equal(mask, np.arange(mask.size) < mask.sum()):
-        raise ParseError("mask must be 1s followed by 0s", line=lineno)
+    if vector.ndim != 1 or not np.isfinite(vector).all():
+        raise ParseError("vector must be a list of finite numbers", line=lineno)
+    real = vector != PAD_VALUE
+    if not (np.array_equal(mask, real) and real[:real.sum()].all()):
+        raise ParseError("mask must be 1 on the entries other than -1, and "
+                         "those must come first", line=lineno)
     if label is not None and (isinstance(label, bool) or label not in (0, 1)):
         raise ParseError(f"label must be 0/1/null, got {label!r}", line=lineno)
-    return EvaluationInstance(vector=vector, mask=mask.astype(np.int8),
-                              label=label, provenance=provenance)
+    return EvaluationInstance(vector=vector, label=label,
+                              provenance=provenance)
 
 
 def write_corpus(path, header: dict, instances) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": "aae-corpus-v1", **header},
                             separators=(",", ":")) + "\n")
-        for inst in instances:
-            fh.write(instance_to_record(inst) + "\n")
+        for index, inst in enumerate(instances):
+            try:
+                fh.write(instance_to_record(inst) + "\n")
+            except ValidationError as exc:
+                raise ValidationError(f"record {index}: {exc}") from exc
 
 
 def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:

@@ -7,10 +7,11 @@ divided by the batch size by the loss, so sgd averages over the batch.
 
 Layer inputs: Conv1D and MaxPool1D take (batch, channels, length), Dense
 takes (batch, features), and GRU takes (batch, steps, input_size) with a
-(batch, steps) prefix mask. Network.forward hands its flat (batch, input_len)
-input and mask to layers[0] alone: a Conv1D gets a channel axis, a GRU gets
-input_size-wide steps and a step mask (the Network checks when built that
-the step divides input_len), and any other layer gets the input as is.
+(batch, steps) prefix mask. Network.forward takes x alone: (batch, input_len),
+real entries first, then the pad value -1. It hands x to layers[0] alone: a
+Conv1D gets a channel axis, a GRU gets input_size-wide steps and the mask of
+the steps holding a real entry (the Network checks when built that the step
+divides input_len), and any other layer gets x as is.
 Each layer defines forward and backward (Dense also backward_preact) on its
 own class, with no shared base: the benchmark tracer patches these class
 attributes by name.
@@ -23,17 +24,16 @@ of one zeroed dx. GRU stacks its z, r and h gates in one W of shape
 (3, H, H+input_size) and one b of shape (3, H); its params() returns the
 aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of them.
 
-Network.forward runs a leading Conv1D/MaxPool1D stack on the shortest
-prefix of the input that still covers every stack output position seeing a
-real entry, where the real entries end at the batch's last column holding a
-value other than the pad value -1. Past that column every row is pad, so
-each later output position holds one constant per channel; one all-pad row,
-appended to the cut batch, computes it, and its first output position fills
-those positions before the layers after the stack. loss_and_backward sums
-their gradient over the batch and the positions onto that one position of
-the pad row, and the unchanged layer backwards carry it. The cut is taken
-only when the cut batch, pad row included, has fewer entries than the
-whole one (a batch-1 row that is mostly real runs whole).
+Network.forward runs a leading Conv1D/MaxPool1D stack on the shortest prefix
+of the input that still covers every stack output position seeing a real
+entry, up to the batch's last column holding one. Past that column every row
+is pad, so each later output position holds one constant per channel; one
+all-pad row, appended to the cut batch, computes it, and its first output
+position fills those positions before the layers after the stack.
+loss_and_backward sums their gradient over the batch and the positions onto
+that one position of the pad row, and the unchanged layer backwards carry
+it. The cut is taken only when the cut batch, pad row included, has fewer
+entries than the whole one (a batch-1 row that is mostly real runs whole).
 
 Conventions (frozen): valid padding, stride 1 convolutions; pool stride =
 pool size with the trailing remainder dropped; max-pool ties break to the
@@ -417,8 +417,7 @@ class Network:
         for layer in self.layers:
             layer.init(rng)
 
-    def forward(self, x: np.ndarray,
-                mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Probabilities in (0, 1), one per batch row."""
         if x.ndim != 2 or x.shape[1] != self.input_len:
             raise ShapeError(
@@ -427,14 +426,11 @@ class Network:
         rest = self.layers[1:]
         self._pad_row = None
         if first.kind == "gru":
-            if mask is None or mask.shape != x.shape:
-                raise ShapeError(
-                    f"this network needs a mask of shape {x.shape}")
             # Chunk the flat vector into vector timesteps; a chunk counts as
             # real if any of its entries is real.
             steps = (-1, self.input_len // first.input_size, first.input_size)
             out = first.forward(x.reshape(steps),
-                                mask.reshape(steps).max(axis=2))
+                                (x != PAD_VALUE).reshape(steps).any(axis=2))
         elif first.kind == "conv1d":
             out, rest = self._conv_stack(x)
         else:
@@ -476,14 +472,14 @@ class Network:
                 axis=2)
         return out, self.layers[depth:]
 
-    def loss_and_backward(self, x: np.ndarray, mask: np.ndarray | None,
+    def loss_and_backward(self, x: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean binary cross-entropy and its gradients (stored per layer).
 
         The loss is computed from the head's pre-activation, so it stays
         finite for saturated predictions.
         """
-        probs = self.forward(x, mask)
+        probs = self.forward(x)
         head = self.layers[-1]
         logits = head.preactivation[:, 0]
         losses = np.logaddexp(0.0, logits) - targets * logits
@@ -567,8 +563,7 @@ def load_network(path) -> Network:
             raise ValueError("the chain must end in a 1-unit sigmoid dense")
         net = Network(layers, arch, header["input_len"], seed)
         # The layers must accept an input of the header's input_len.
-        probe = np.zeros((1, net.input_len))
-        net.forward(probe, np.ones_like(probe))
+        net.forward(np.zeros((1, net.input_len)))
     except (IndexError, KeyError, TypeError, ValueError, RecursionError,
             ShapeError, ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc

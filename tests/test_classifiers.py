@@ -21,9 +21,7 @@ from aae.nn import GRU, Conv1D, covering_length, load_network, save_network
 def make_instance(rng, length=64, real=44, label=None):
     vector = rng.normal(size=length)
     vector[real:] = -1.0
-    mask = np.zeros(length, dtype=np.int8)
-    mask[:real] = 1
-    return EvaluationInstance(vector=vector, mask=mask, label=label)
+    return EvaluationInstance(vector=vector, label=label)
 
 
 def separable_corpus(n=200, length=96, real=76, pivot=70, seed=0):
@@ -101,9 +99,7 @@ class TestBuild:
         rng = np.random.default_rng(0)
         for arch in Architecture:
             net = build(arch, 128, seed=1)
-            x = rng.normal(size=(3, 128))
-            mask = np.ones((3, 128))
-            probs = net.forward(x, mask)
+            probs = net.forward(rng.normal(size=(3, 128)))
             assert probs.shape == (3,)
 
     @settings(max_examples=30, deadline=None)
@@ -125,9 +121,8 @@ class TestBuild:
             assert (i, name) == (j, name_b)
             assert np.array_equal(va, vb)
         x = np.random.default_rng(seed).normal(size=(2, input_len))
-        mask = np.zeros((2, input_len))
-        mask[:, :round(real * input_len)] = 1
-        assert np.array_equal(back.forward(x, mask), net.forward(x, mask))
+        x[:, round(real * input_len):] = -1.0
+        assert np.array_equal(back.forward(x), net.forward(x))
 
 
 class TestTrain:

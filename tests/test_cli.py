@@ -182,7 +182,10 @@ class TestTrain:
 
     def test_corrupt_corpus_parse_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n'):
+        # The third file's record has a mask that leaves out a real entry.
+        for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n',
+                        b'{"format":"aae-corpus-v1"}\n'
+                        b'{"vector":[1.0,3.0],"mask":[1,0],"label":1}\n'):
             bad.write_bytes(content)
             code = run("train", "--corpus", str(bad),
                        "--out", str(tmp_path / "log.csv"))

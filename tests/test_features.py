@@ -235,7 +235,7 @@ class TestCorpusSerialization:
                 read_corpus(path)
             assert exc.value.line == 1, text[:40]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data(), length=st.integers(1, 64),
            count=st.integers(0, 5), with_max_len=st.booleans(),
            with_params=st.booleans())
@@ -247,18 +247,27 @@ class TestCorpusSerialization:
             header["max_len"] = length
         if with_params:
             header["cost_params"] = CostParams().to_dict()
-        instances = []
-        for _ in range(count):
-            real = data.draw(st.integers(0, length))
+        instances, refused = [], []
+        for index in range(count):
+            real = data.draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                max_size=length))
+            while real and real[-1] == PAD_VALUE:  # trailing -1s are pad
+                real.pop()
+            # A real entry that renders as -1 would read back as pad.
+            if PAD_VALUE in [float(f"{v:.9g}") for v in real]:
+                refused.append(index)
             instances.append(EvaluationInstance(
-                vector=np.array(data.draw(st.lists(
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    min_size=length, max_size=length))),
-                mask=(np.arange(length) < real).astype(np.int8),
+                vector=np.array(real + [PAD_VALUE] * (length - len(real))),
                 label=data.draw(st.sampled_from([0, 1, None])),
                 provenance=data.draw(st.dictionaries(st.text(), st.text(),
                                                      max_size=4))))
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        if refused:
+            with pytest.raises(ValidationError,
+                               match=f"^record {refused[0]}: "):
+                write_corpus(path, header, instances)
+            return
         write_corpus(path, header, instances)
         back_header, back = read_corpus(path)
         assert back_header == {"format": "aae-corpus-v1", **header}
@@ -286,6 +295,11 @@ class TestCorpusSerialization:
             "mask value 2": record(mask=[2] + mask[1:]),
             "mask not a prefix": record(
                 mask=mask[:real - 1] + [0, 1] + mask[real + 1:]),
+            "non-pad entry past the mask": record(
+                vector=vector[:real + 1] + [3.0] + vector[real + 2:]),
+            "mask 1 on a -1 entry": record(
+                mask=mask[:real] + [1] + mask[real + 1:]),
+            "scalar vector and mask": record(vector=3.0, mask=1),
             "shorter than the first": record(vector=vector[:-1],
                                              mask=mask[:-1]),
             # Written as byte 0xff, inside a JSON string.

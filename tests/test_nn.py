@@ -239,12 +239,6 @@ class TestGRU:
             small_gru_network(length=10, step=4)
         assert "10" in str(exc.value) and "4" in str(exc.value)
 
-    @pytest.mark.parametrize("mask", [None, np.ones((1, 6)),
-                                      np.ones((2, 8))])
-    def test_network_mask_must_match_input(self, mask):
-        net = small_gru_network(length=8, step=2)
-        with pytest.raises(ShapeError):
-            net.forward(np.zeros((1, 8)), mask)
 
 
 def small_conv_network(seed=0, length=16):
@@ -271,14 +265,14 @@ def small_gru_network(seed=0, length=5, hidden=4, step=1):
     return net
 
 
-def check_gradients(net, x, mask, y, tol=1e-4):
-    net.loss_and_backward(x, mask, y)
+def check_gradients(net, x, y, tol=1e-4):
+    net.loss_and_backward(x, y)
     analytic = {(i, name): grads.copy()
                 for i, layer in enumerate(net.layers)
                 for name, _, grads in layer.params()}
 
     def loss_only():
-        probs = net.forward(x, mask)
+        net.forward(x)
         z = net.layers[-1].preactivation[:, 0]
         return float((np.logaddexp(0.0, z) - y * z).mean())
 
@@ -300,7 +294,7 @@ class TestBackward:
         net = small_conv_network(seed=seed)
         x = rng.normal(size=(2, 16))
         y = rng.integers(0, 2, size=2).astype(float)
-        check_gradients(net, x, None, y)
+        check_gradients(net, x, y)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_conv_network_gradients_through_the_pad_row(self, seed):
@@ -310,7 +304,7 @@ class TestBackward:
         x[0, :6] = rng.normal(size=6)
         x[1, :3] = rng.normal(size=3)
         y = rng.integers(0, 2, size=2).astype(float)
-        check_gradients(net, x, None, y)
+        check_gradients(net, x, y)
         # The first conv ran on the cut batch: both rows and the pad row.
         assert net.layers[0]._cache[0].shape == (3, 1, 10)
 
@@ -319,18 +313,16 @@ class TestBackward:
         rng = np.random.default_rng(seed + 100)
         net = small_gru_network(seed=seed)
         x = rng.normal(size=(2, 5))
-        mask = np.ones((2, 5))
-        mask[0, 3:] = 0
+        x[0, 3:] = PAD_VALUE
         y = rng.integers(0, 2, size=2).astype(float)
-        check_gradients(net, x, mask, y)
+        check_gradients(net, x, y)
 
         # Vector timesteps, as the shipped GRU runs them: Network.forward
         # chunks a length-20 input into 5 steps of 4 scalars.
         net = small_gru_network(seed=seed, length=20, step=4)
         x = rng.normal(size=(2, 20))
-        mask = np.ones((2, 20))
-        mask[0, 10:] = 0
-        check_gradients(net, x, mask, y)
+        x[0, 10:] = PAD_VALUE
+        check_gradients(net, x, y)
 
     def test_zero_logit_head_gradient(self):
         # with zero weights the prediction is exactly 0.5; a 0.5 target
@@ -340,7 +332,7 @@ class TestBackward:
         head.W = np.zeros_like(head.W)
         head.b = np.zeros_like(head.b)
         x = np.random.default_rng(0).normal(size=(1, 16))
-        net.loss_and_backward(x, None, np.array([0.5]))
+        net.loss_and_backward(x, np.array([0.5]))
         assert np.all(head.dW == 0.0)
         assert np.all(head.db == 0.0)
 
@@ -379,18 +371,52 @@ class TestConvCut:
             if layer.params():
                 layer.b = rng.normal(scale=0.1, size=layer.b.shape)
         x = np.full((rows, length), PAD_VALUE)
-        mask = np.zeros((rows, length), dtype=np.int8)
         for row, real in enumerate(reals):
             x[row, :real] = rng.normal(size=real)
-            mask[row, :real] = 1
         y = rng.integers(0, 2, size=rows).astype(float)
 
         want_probs, want_grads = plain_chain(net, x, y)
-        assert np.abs(net.forward(x, mask) - want_probs).max() <= 1e-12
-        net.loss_and_backward(x, mask, y)
+        assert np.abs(net.forward(x) - want_probs).max() <= 1e-12
+        net.loss_and_backward(x, y)
         for layer in net.layers:
             for _, _, got in layer.params():
                 assert np.abs(got - want_grads.pop(0)).max() <= 1e-9
+
+
+class TestGRUStepMask:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("length", [40, 256, 320])
+    @pytest.mark.parametrize("step", [1, 8])
+    def test_matches_the_explicit_prefix_mask(self, length, step, data):
+        rows = data.draw(st.integers(1, 40))
+        reals = np.array(data.draw(st.lists(
+            st.integers(0, length), min_size=rows, max_size=rows)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        net = small_gru_network(seed=1, length=length, hidden=8, step=step)
+        gru, head = net.layers
+        gru.b = rng.normal(scale=0.1, size=gru.b.shape)
+        x = np.full((rows, length), PAD_VALUE)
+        for row, real in enumerate(reals):
+            x[row, :real] = rng.normal(size=real)
+        y = rng.integers(0, 2, size=rows).astype(float)
+
+        # The GRU on the step mask written out from the real lengths, then
+        # the head, as Network.loss_and_backward runs them.
+        steps = length // step
+        mask = np.arange(steps) * step < reals[:, None]
+        want_probs = head.forward(gru.forward(
+            x.reshape(rows, steps, step), mask))[:, 0]
+        gru.backward(head.backward_preact(((want_probs - y) / rows)[:, None]))
+        want_grads = [g.copy() for layer in net.layers
+                      for _, _, g in layer.params()]
+
+        assert np.array_equal(net.forward(x), want_probs)
+        _, probs = net.loss_and_backward(x, y)
+        assert np.array_equal(probs, want_probs)
+        for layer in net.layers:
+            for _, _, got in layer.params():
+                assert np.array_equal(got, want_grads.pop(0))
 
 
 class TestSGD:
@@ -398,7 +424,7 @@ class TestSGD:
         net = small_conv_network(seed=3)
         before = [v.copy() for _, _, v in net.parameter_tensors()]
         x = np.random.default_rng(0).normal(size=(2, 16))
-        net.loss_and_backward(x, None, np.array([1.0, 0.0]))
+        net.loss_and_backward(x, np.array([1.0, 0.0]))
         net.sgd_step(0.0)
         after = [v for _, _, v in net.parameter_tensors()]
         for b, a in zip(before, after):
@@ -421,7 +447,7 @@ class TestSGD:
         y = np.array([1.0])
         losses = []
         for _ in range(3):
-            loss, _ = net.loss_and_backward(x, None, y)
+            loss, _ = net.loss_and_backward(x, y)
             losses.append(loss)
             net.sgd_step(0.01)
         assert losses[1] < losses[0]
@@ -458,8 +484,7 @@ class TestSerialization:
         save_network(net, path)
         back = load_network(path)
         x = np.random.default_rng(1).normal(size=(2, 5))
-        mask = np.ones((2, 5))
-        assert back.forward(x, mask) == pytest.approx(net.forward(x, mask))
+        assert back.forward(x) == pytest.approx(net.forward(x))
 
     def test_golden_gru_file(self, tmp_path):
         # Pins the aae-net-v1 bytes of a GRU network: the init RNG stream,

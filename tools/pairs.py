@@ -24,6 +24,7 @@ fails, or when a median breaks its bound; --tiny figures are not comparable,
 so under --tiny broken bounds are listed but do not fail.
 """
 import argparse
+import contextlib
 import json
 import shutil
 import signal
@@ -68,6 +69,27 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
 def exit_on_signal(signum, frame):
     """Turn a signal into SystemExit, so `finally` blocks run."""
     raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def worktree(rev: str, prefix: str):
+    """A detached `git worktree` of rev under a new temporary directory named
+    with prefix. It is removed on exit, also when SIGTERM or SIGINT ends the
+    process, which then exits 128 plus the signal number. Worktrees whose
+    directory is gone are pruned first."""
+    handlers = {signum: signal.signal(signum, exit_on_signal)
+                for signum in (signal.SIGTERM, signal.SIGINT)}
+    tmp = Path(tempfile.mkdtemp(prefix=prefix))
+    tree = tmp / "parent"
+    git("worktree", "prune")
+    git("worktree", "add", "--detach", str(tree), rev)
+    try:
+        yield tree
+    finally:
+        git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tmp, ignore_errors=True)
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -124,14 +146,9 @@ def main(argv=None) -> int:
     seconds = 1 if args.tiny else bench["run_seconds"]
     rev = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, exit_on_signal)
-    tmp = Path(tempfile.mkdtemp(prefix="pairs-"))
-    trees = {"parent": tmp / "parent", "change": ROOT}
-    git("worktree", "prune")
-    git("worktree", "add", "--detach", str(trees["parent"]), rev)
     env, pairs = {}, []
-    try:
+    with worktree(rev, "pairs-") as parent:
+        trees = {"parent": parent, "change": ROOT}
         for seed in range(1, args.pairs + 1):
             pair = {"seed": seed,
                     "order": list(SIDES if seed % 2 else SIDES[::-1])}
@@ -141,9 +158,6 @@ def main(argv=None) -> int:
                 env.setdefault(side, side_env)
             pairs.append(pair)
             print(json.dumps(pair))
-    finally:
-        git("worktree", "remove", "--force", str(trees["parent"]))
-        shutil.rmtree(tmp, ignore_errors=True)
 
     report = {"workload": args.workload, "against": rev,
               "seconds": seconds, "tiny": args.tiny, "env": env,
