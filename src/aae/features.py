@@ -124,9 +124,8 @@ def _round9(x: float) -> float:
 def instance_to_record(inst: EvaluationInstance) -> str:
     vector = [_round9(v) for v in inst.vector]
     mask = inst.mask
-    real = int(mask.sum())
-    if not mask[:real].all() or PAD_VALUE in vector[:real]:
-        raise ValidationError("a real entry is or renders as -1")
+    if PAD_VALUE in vector[:mask.sum()]:
+        raise ValidationError("a real-prefix entry is or renders as -1")
     record = {
         "vector": vector,
         "mask": mask.tolist(),
@@ -147,7 +146,7 @@ def instance_from_record(line: str | bytes, lineno: int | None = None) -> Evalua
             RecursionError) as exc:
         raise ParseError(f"bad instance record: {exc}", line=lineno) from exc
     if vector.ndim != 1 or not np.isfinite(vector).all():
-        raise ParseError("vector must be a list of finite numbers", line=lineno)
+        raise ParseError("vector is not a list of finite numbers", line=lineno)
     real = vector != PAD_VALUE
     if not (np.array_equal(mask, real) and real[:real.sum()].all()):
         raise ParseError("mask must be 1 on the entries other than -1, and "
@@ -166,6 +165,7 @@ def write_corpus(path, header: dict, instances) -> None:
             try:
                 fh.write(instance_to_record(inst) + "\n")
             except ValidationError as exc:
+                fh.truncate(0)  # not a shorter corpus that reads cleanly
                 raise ValidationError(f"record {index}: {exc}") from exc
 
 

@@ -8,10 +8,10 @@ divided by the batch size by the loss, so sgd averages over the batch.
 Layer inputs: Conv1D and MaxPool1D take (batch, channels, length), Dense
 takes (batch, features), and GRU takes (batch, steps, input_size) with a
 (batch, steps) prefix mask. Network.forward takes x alone: (batch, input_len),
-real entries first, then the pad value -1. It hands x to layers[0] alone: a
-Conv1D gets a channel axis, a GRU gets input_size-wide steps and the mask of
-the steps holding a real entry (the Network checks when built that the step
-divides input_len), and any other layer gets x as is.
+real where not the pad value -1, real entries first. It hands x to layers[0]
+alone: a Conv1D gets a channel axis, a GRU gets input_size-wide steps and the
+mask of the steps holding a real entry (the Network checks when built that
+the step divides input_len), and any other layer gets x as is.
 Each layer defines forward and backward (Dense also backward_preact) on its
 own class, with no shared base: the benchmark tracer patches these class
 attributes by name.

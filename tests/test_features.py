@@ -267,6 +267,9 @@ class TestCorpusSerialization:
             with pytest.raises(ValidationError,
                                match=f"^record {refused[0]}: "):
                 write_corpus(path, header, instances)
+            # The records before the refused one do not pass for a corpus.
+            with pytest.raises(ParseError):
+                read_corpus(path)
             return
         write_corpus(path, header, instances)
         back_header, back = read_corpus(path)
