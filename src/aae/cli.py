@@ -61,7 +61,6 @@ def generate_labeled_corpus(profile: str, count: int, seed: int):
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    params = oracle.CostParams()
     stats = graphmodel.generate_graph_stats(profile, seed)
     max_len = (features.LDBC_MAX_LEN if profile == "ldbc"
                else features.DEFAULT_MAX_LEN)
@@ -77,7 +76,7 @@ def generate_labeled_corpus(profile: str, count: int, seed: int):
         s_new = _mutate_storage(rng, s_old)
         inst = features.assemble(stats, workload, s_old, s_new,
                                  max_len=max_len)
-        inst.label = oracle.label(stats, workload, s_old, s_new, params)
+        inst.label = oracle.label(stats, workload, s_old, s_new)
         inst.provenance = {
             "stats": stats_id,
             "workload": f"w{i}:{workload_seed}",
@@ -91,7 +90,7 @@ def generate_labeled_corpus(profile: str, count: int, seed: int):
         "seed": seed,
         "count": count,
         "max_len": max_len,
-        "cost_params": params.to_dict(),
+        "cost_params": oracle.cost_params(),
     }
     return header, instances
 

@@ -151,7 +151,7 @@ def instance_from_record(line: str | bytes, lineno: int | None = None) -> Evalua
     if not (np.array_equal(mask, real) and real[:real.sum()].all()):
         raise ParseError("mask must be 1 on the entries other than -1, and "
                          "those must come first", line=lineno)
-    if label is not None and (isinstance(label, bool) or label not in (0, 1)):
+    if label is not None and (type(label) is not int or label not in (0, 1)):
         raise ParseError(f"label must be 0/1/null, got {label!r}", line=lineno)
     return EvaluationInstance(vector=vector, label=label,
                               provenance=provenance)
@@ -170,7 +170,7 @@ def write_corpus(path, header: dict, instances) -> None:
 
 
 def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
-    from .oracle import CostParams  # oracle imports this module
+    from .oracle import cost_params  # oracle imports this module
 
     # Lines stay bytes and json.loads decodes each, so a bad byte names it.
     with open(path, "rb") as fh:
@@ -183,11 +183,11 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
         raise ParseError(f"bad corpus header: {exc}", line=1) from exc
     if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
         raise ParseError("missing aae-corpus-v1 header", line=1)
-    if "cost_params" in header:
-        try:
-            CostParams.from_dict(header["cost_params"])
-        except (KeyError, TypeError, AttributeError, ValidationError) as exc:
-            raise ParseError(f"bad cost_params: {exc!r}", line=1) from exc
+    expected = cost_params()  # compared as JSON text too: a true is no 1.0
+    got = header.get("cost_params", expected)
+    if got != expected or (json.dumps(got, sort_keys=True)
+                           != json.dumps(expected, sort_keys=True)):
+        raise ParseError("cost_params are not the cost model's", line=1)
     instances = []
     # Every record has the header's max_len or, without one, the first
     # record's length.
@@ -202,4 +202,8 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
             raise ParseError(f"record has length {inst.vector.size}, "
                              f"{source} is {length!r}", line=lineno)
         instances.append(inst)
+    count = header.get("count", len(instances))
+    if type(count) is not int or count != len(instances):
+        raise ParseError(f"header count {count!r} is not the "
+                         f"{len(instances)} records that follow", line=1)
     return header, instances

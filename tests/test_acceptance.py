@@ -109,7 +109,6 @@ def test_criterion_2_architecture_shapes():
 
 
 def test_criterion_3_oracle_properties():
-    params = oracle.CostParams()
     rng = np.random.default_rng(3)
     checked = 0
     ok = True
@@ -128,17 +127,17 @@ def test_criterion_3_oracle_properties():
         b = StorageConfig("columnar", bits_b)
 
         # antisymmetry and tie behavior
-        ok &= not (oracle.label(g, w, a, b, params) == 1
-                   and oracle.label(g, w, b, a, params) == 1)
-        ok &= oracle.label(g, w, a, a, params) == 0
+        ok &= not (oracle.label(g, w, a, b) == 1
+                   and oracle.label(g, w, b, a) == 1)
+        ok &= oracle.label(g, w, a, a) == 0
 
         # brute-force per-query expansion, exact
         brute = 0.0
         for kind in OperationKind:
-            per_query = [oracle.op_cost(kind, g, a, freq, params)
+            per_query = [oracle.op_cost(kind, g, a, freq)
                          for _ in range(counts[kind.value])]
             brute += math.fsum(per_query)
-        ok &= oracle.workload_cost(g, w, a, params) == brute
+        ok &= oracle.workload_cost(g, w, a) == brute
 
         # index monotonicity with zero create rate
         mono_rates = list(rates)
@@ -152,8 +151,8 @@ def test_criterion_3_oracle_properties():
             more = list(bits_a)
             more[more.index(0)] = 1
             ok &= oracle.workload_cost(
-                g, w2, StorageConfig("native-graph", tuple(more)),
-                params) <= oracle.workload_cost(g, w2, a, params)
+                g, w2, StorageConfig("native-graph", tuple(more))
+            ) <= oracle.workload_cost(g, w2, a)
         checked += 1
     report(3, ok and checked == 100,
            f"antisymmetry, ties, monotonicity, and exact brute-force "

@@ -1,5 +1,6 @@
 import csv
 import os
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from aae.cli import (
 )
 from aae.errors import ValidationError
 from aae.features import read_corpus
+from aae.oracle import cost_params
 
 
 def run(*argv):
@@ -47,6 +49,7 @@ class TestGen:
 
     def test_header_carries_cost_params(self, corpus_path):
         header, instances = read_corpus(corpus_path)
+        assert header["cost_params"] == cost_params()
         assert header["cost_params"]["index_speedup"] == 0.2
         assert len(instances) == 300
         assert all(inst.label in (0, 1) for inst in instances)
@@ -113,8 +116,8 @@ def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
                                      "bench"])
 def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
-    with open(corpus_path) as fh:
-        empty.write_text(fh.readline())
+    with open(corpus_path) as fh:  # whole, as its header counts no records
+        empty.write_text(fh.readline().replace('"count":300', '"count":0'))
     code = run(command, "--corpus", str(empty), "--out",
                str(tmp_path / "o.csv"))
     assert code == EXIT_VALIDATION
@@ -180,12 +183,21 @@ class TestTrain:
                    "--out", str(tmp_path / "log.csv"))
         assert code != EXIT_OK
 
-    def test_corrupt_corpus_parse_error(self, tmp_path):
+    def test_corrupt_corpus_parse_error(self, corpus_path, tmp_path):
         bad = tmp_path / "bad.jsonl"
+        header, *records = Path(corpus_path).read_bytes().splitlines(True)
         # The third file's record has a mask that leaves out a real entry.
+        # The next three come from a gen corpus: cut after 3 of its 300
+        # records, or with one cost parameter edited in its header.
         for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n',
                         b'{"format":"aae-corpus-v1"}\n'
-                        b'{"vector":[1.0,3.0],"mask":[1,0],"label":1}\n'):
+                        b'{"vector":[1.0,3.0],"mask":[1,0],"label":1}\n',
+                        b"".join([header, *records[:3]]),
+                        b"".join([header.replace(b'"index_speedup":0.2',
+                                                 b'"index_speedup":0.3'),
+                                  *records]),
+                        b"".join([header.replace(b",1.0,", b",true,", 1),
+                                  *records])):
             bad.write_bytes(content)
             code = run("train", "--corpus", str(bad),
                        "--out", str(tmp_path / "log.csv"))

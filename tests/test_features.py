@@ -23,7 +23,7 @@ from aae.features import (
     write_corpus,
 )
 from aae.graphmodel import GraphStats, WorkloadProfile
-from aae.oracle import CostParams
+from aae.oracle import cost_params
 
 
 def minimal_stats():
@@ -217,14 +217,33 @@ class TestCorpusSerialization:
         path.write_text("not json\n")
         with pytest.raises(ParseError):
             read_corpus(path)
-        # A cost_params block, when present, must parse as CostParams.
-        for params in ({"index_speedup": 5}, "garbage",
-                       {**CostParams().to_dict(), "index_speedup": True}):
-            write_corpus(path, {"cost_params": params},
-                         [self.make_instance()])
+        # A cost_params block, when present, must be the cost model's to
+        # the JSON text: no true for a 1.0, no other value, no engine less.
+        params = cost_params()
+        columnar = params["base_cost"]["columnar"]
+        bad_params = [{"index_speedup": 5}, "garbage",
+                      {**params, "index_speedup": True},
+                      {**params, "index_speedup": 0.3},
+                      {**params, "traversal_native_discount": 1.5},
+                      {**params, "base_cost": {"columnar": columnar}},
+                      {**params, "base_cost": {**params["base_cost"],
+                                               "extra-engine": columnar}}]
+        for bad in (True, 0.0, math.nan, math.inf, -math.inf):
+            bad_params.append({**params, "size_exponent": bad})
+            bad_params.append({**params, "base_cost": {
+                **params["base_cost"], "columnar": [bad] + columnar[1:]}})
+        for bad in bad_params:
+            write_corpus(path, {"cost_params": bad}, [self.make_instance()])
             with pytest.raises(ParseError) as exc:
                 read_corpus(path)
-            assert exc.value.line == 1, params
+            assert exc.value.line == 1, bad
+        # A count, when present, is an int equal to the number of records:
+        # a corpus cut at a line boundary is not a shorter corpus.
+        for count in (5, 2, True, 3.0, None, "3"):
+            write_corpus(path, {"count": count}, [self.make_instance()] * 3)
+            with pytest.raises(ParseError) as exc:
+                read_corpus(path)
+            assert exc.value.line == 1, count
         # Decode failures in the header: a byte that is not UTF-8, a
         # max_len past Python's int-digit limit, lists nested too deep.
         for text in ('{"format":"aae-corpus-v1","profile":"\udcff"}',
@@ -246,7 +265,7 @@ class TestCorpusSerialization:
         if with_max_len:
             header["max_len"] = length
         if with_params:
-            header["cost_params"] = CostParams().to_dict()
+            header["cost_params"] = cost_params()
         instances, refused = [], []
         for index in range(count):
             real = data.draw(st.lists(
@@ -294,6 +313,8 @@ class TestCorpusSerialization:
         bad_records = {
             "not json": "{broken",
             "json true label": record(label=True),
+            "float label 1.0": record(label=1.0),
+            "float label 0.0": record(label=0.0),
             "nan vector entry": record(vector=[math.nan] + vector[1:]),
             "mask value 2": record(mask=[2] + mask[1:]),
             "mask not a prefix": record(

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aae import graphmodel
-from aae.errors import ValidationError
+from aae import graphmodel, oracle
 from aae.features import StorageConfig
 from aae.graphmodel import (
     CATEGORY_KINDS,
@@ -12,7 +11,7 @@ from aae.graphmodel import (
     OperationKind,
     WorkloadProfile,
 )
-from aae.oracle import CostParams, label, op_cost, workload_cost
+from aae.oracle import BASE_COST, label, op_cost, workload_cost
 
 
 def stats(nodes=100, edges=50, props=3):
@@ -33,95 +32,89 @@ def single_kind_rates(kind):
     return rates
 
 
-def neutral_params():
-    return CostParams(index_speedup=1.0, traversal_native_discount=1.0,
-                      size_exponent=0.0)
+@pytest.fixture
+def no_size_factor(monkeypatch):
+    monkeypatch.setattr(oracle, "SIZE_EXPONENT", 0.0)
+
+
+@pytest.fixture
+def neutral_factors(monkeypatch, no_size_factor):
+    monkeypatch.setattr(oracle, "INDEX_SPEEDUP", 1.0)
+    monkeypatch.setattr(oracle, "TRAVERSAL_NATIVE_DISCOUNT", 1.0)
 
 
 class TestOpCost:
-    def test_neutral_factors_give_base_cost(self):
-        params = neutral_params()
+    def test_neutral_factors_give_base_cost(self, neutral_factors):
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(1, 0, 1))
         for kind in OperationKind:
-            expected = params.base_cost["columnar"][kind.value]
+            expected = BASE_COST[kind.value]
             if kind in CATEGORY_KINDS["create"]:
                 expected *= 1.2  # two index bits set
-            assert op_cost(kind, g, s, (0.5, 0.5, 0.5), params) == \
+            assert op_cost(kind, g, s, (0.5, 0.5, 0.5)) == \
                 pytest.approx(expected)
 
-    def test_find_property_fully_indexed(self):
-        params = CostParams(size_exponent=0.0)
+    def test_find_property_fully_indexed(self, no_size_factor):
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(1, 1, 1))
         cost = op_cost(OperationKind.FIND_PROPERTY, g, s,
-                       (1 / 3, 1 / 3, 1 / 3), params)
+                       (1 / 3, 1 / 3, 1 / 3))
         assert cost == pytest.approx(
-            params.base_cost["columnar"][OperationKind.FIND_PROPERTY] * 0.2)
+            BASE_COST[OperationKind.FIND_PROPERTY] * 0.2)
 
     def test_add_vertex_index_maintenance(self):
         # Straight-line recomputation of the documented formula:
-        # base 2.0 * size factor * (1 + 0.1 * 4) with default params.
-        params = CostParams()
+        # base 2.0 * size factor * (1 + 0.1 * 4).
         g = stats(nodes=1000, edges=500, props=4)
         s = StorageConfig(engine="native-graph", index_bits=(1, 1, 1, 1))
         size_factor = 1.0 + math.log10(1.0 + 1000 + 500)
         expected = 2.0 * size_factor * 1.4
         got = op_cost(OperationKind.ADD_VERTEX, g, s,
-                      (0.25, 0.25, 0.25, 0.25), params)
+                      (0.25, 0.25, 0.25, 0.25))
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_traversal_discount_only_on_native(self):
-        params = CostParams(size_exponent=0.0)
+    def test_traversal_discount_only_on_native(self, no_size_factor):
         g = stats()
         bits = (0, 0, 0)
         native = op_cost(OperationKind.SHORT_PATH, g,
                          StorageConfig("native-graph", bits),
-                         (0.5, 0.5, 0.5), params)
+                         (0.5, 0.5, 0.5))
         columnar = op_cost(OperationKind.SHORT_PATH, g,
                            StorageConfig("columnar", bits),
-                           (0.5, 0.5, 0.5), params)
+                           (0.5, 0.5, 0.5))
         assert native == pytest.approx(columnar * 0.5)
 
-    def test_index_factor_weighted_by_frequency(self):
-        params = CostParams(size_exponent=0.0)
+    def test_index_factor_weighted_by_frequency(self, no_size_factor):
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(1, 0, 0))
         # all accesses hit the indexed property
-        hot = op_cost(OperationKind.FIND_PROPERTY, g, s, (1.0, 0.0, 0.0),
-                      params)
+        hot = op_cost(OperationKind.FIND_PROPERTY, g, s, (1.0, 0.0, 0.0))
         assert hot == pytest.approx(1.0 * 0.2)
         # none do
-        cold = op_cost(OperationKind.FIND_PROPERTY, g, s, (0.0, 1.0, 0.0),
-                       params)
+        cold = op_cost(OperationKind.FIND_PROPERTY, g, s, (0.0, 1.0, 0.0))
         assert cold == pytest.approx(1.0)
 
 
 class TestWorkloadCost:
     def test_single_kind_workload(self):
-        params = CostParams()
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(0, 0, 0))
         w = workload(single_kind_rates(OperationKind.ADD_VERTEX), n=100)
-        per_op = op_cost(OperationKind.ADD_VERTEX, g, s, w.property_freq,
-                         params)
-        assert workload_cost(g, w, s, params) == pytest.approx(100 * per_op)
+        per_op = op_cost(OperationKind.ADD_VERTEX, g, s, w.property_freq)
+        assert workload_cost(g, w, s) == pytest.approx(100 * per_op)
 
     def test_linear_in_total_queries(self):
-        params = CostParams()
         g = stats()
         s = StorageConfig(engine="native-graph", index_bits=(1, 0, 0))
         w1 = workload(single_kind_rates(OperationKind.FIND), n=100)
         w2 = workload(single_kind_rates(OperationKind.FIND), n=200)
-        assert workload_cost(g, w2, s, params) == \
-            workload_cost(g, w1, s, params) * 2
+        assert workload_cost(g, w2, s) == workload_cost(g, w1, s) * 2
 
     def test_brute_force_expansion_exact(self):
         # Expand the workload into an explicit per-query list; per-kind
         # sums use math.fsum (exactly rounded), combined in ascending kind
         # order. n is a power of two so rates are dyadic and the
         # rate-weighted form matches bit for bit.
-        params = CostParams()
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(0, 1, 0))
         n = 1024
@@ -134,13 +127,12 @@ class TestWorkloadCost:
 
         brute = 0.0
         for kind in OperationKind:
-            per_query = [op_cost(kind, g, s, w.property_freq, params)
+            per_query = [op_cost(kind, g, s, w.property_freq)
                          for _ in range(counts[kind.value])]
             brute += math.fsum(per_query)
-        assert workload_cost(g, w, s, params) == brute
+        assert workload_cost(g, w, s) == brute
 
     def test_positivity(self):
-        params = CostParams()
         rng = np.random.default_rng(0)
         g = stats()
         for _ in range(20):
@@ -148,19 +140,17 @@ class TestWorkloadCost:
             w = graphmodel.generate_workload(g, mix, int(rng.integers(1e6)))
             bits = tuple(int(b) for b in rng.integers(0, 2, 3))
             s = StorageConfig(engine="columnar", index_bits=bits)
-            assert workload_cost(g, w, s, params) > 0
+            assert workload_cost(g, w, s) > 0
 
 
 class TestLabel:
     def test_identical_storage_ties_to_zero(self):
-        params = CostParams()
         g = stats()
         s = StorageConfig(engine="columnar", index_bits=(1, 0, 0))
         w = workload(single_kind_rates(OperationKind.FIND))
-        assert label(g, w, s, s, params) == 0
+        assert label(g, w, s, s) == 0
 
     def test_new_index_on_hot_property_wins(self):
-        params = CostParams()
         g = stats()
         rates = [0.0] * 19
         rates[OperationKind.FIND_PROPERTY.value] = 0.9
@@ -168,12 +158,11 @@ class TestLabel:
         w = workload(rates, freq=(1.0, 0.0, 0.0))
         s_old = StorageConfig(engine="columnar", index_bits=(0, 0, 0))
         s_new = StorageConfig(engine="columnar", index_bits=(1, 0, 0))
-        assert workload_cost(g, w, s_old, params) > \
-            workload_cost(g, w, s_new, params)
-        assert label(g, w, s_old, s_new, params) == 1
+        assert workload_cost(g, w, s_old) > \
+            workload_cost(g, w, s_new)
+        assert label(g, w, s_old, s_new) == 1
 
     def test_antisymmetry(self):
-        params = CostParams()
         rng = np.random.default_rng(42)
         g = stats()
         for _ in range(50):
@@ -185,12 +174,11 @@ class TestLabel:
             b = StorageConfig(
                 engine="columnar",
                 index_bits=tuple(int(b) for b in rng.integers(0, 2, 3)))
-            assert not (label(g, w, a, b, params) == 1
-                        and label(g, w, b, a, params) == 1)
+            assert not (label(g, w, a, b) == 1
+                        and label(g, w, b, a) == 1)
 
     def test_index_monotonicity_without_creates(self):
         # with no create operations, adding an index can only help
-        params = CostParams()
         rng = np.random.default_rng(7)
         g = stats()
         for _ in range(30):
@@ -204,43 +192,7 @@ class TestLabel:
             more = list(bits)
             more[more.index(0)] = 1
             base = workload_cost(
-                g, w, StorageConfig("columnar", tuple(bits)), params)
+                g, w, StorageConfig("columnar", tuple(bits)))
             indexed = workload_cost(
-                g, w, StorageConfig("columnar", tuple(more)), params)
+                g, w, StorageConfig("columnar", tuple(more)))
             assert indexed <= base
-
-
-class TestCostParamsValidation:
-    def test_rejects_zero_base_cost(self):
-        bad = {e: tuple([1.0] * 18 + [0.0]) for e in
-               ("native-graph", "columnar")}
-        with pytest.raises(ValidationError):
-            CostParams(base_cost=bad)
-
-    def test_rejects_out_of_range_speedup(self):
-        with pytest.raises(ValidationError):
-            CostParams(index_speedup=0.0)
-        with pytest.raises(ValidationError):
-            CostParams(traversal_native_discount=1.5)
-
-    def test_rejects_booleans_and_non_finite_numbers(self):
-        costs = CostParams().base_cost
-        for bad in (True, False, math.nan, math.inf, -math.inf, "1.0", None):
-            for field in ("index_speedup", "traversal_native_discount",
-                          "size_exponent"):
-                with pytest.raises(ValidationError):
-                    CostParams(**{field: bad})
-            table = (bad,) + costs["columnar"][1:]
-            with pytest.raises(ValidationError):
-                CostParams(base_cost={**costs, "columnar": table})
-
-    def test_rejects_unknown_or_missing_engine(self):
-        costs = CostParams().base_cost
-        with pytest.raises(ValidationError):
-            CostParams(base_cost={**costs, "extra-engine": costs["columnar"]})
-        with pytest.raises(ValidationError):
-            CostParams(base_cost={"columnar": costs["columnar"]})
-
-    def test_dict_roundtrip(self):
-        params = CostParams()
-        assert CostParams.from_dict(params.to_dict()) == params
