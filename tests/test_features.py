@@ -221,15 +221,12 @@ class TestCorpusSerialization:
         # the JSON text: no true for a 1.0, no other value, no engine less.
         params = cost_params()
         columnar = params["base_cost"]["columnar"]
+        # test_oracle.py's TestCostParamsValidation tries every field.
         bad_params = [{"index_speedup": 5}, "garbage",
-                      {**params, "index_speedup": True},
                       {**params, "index_speedup": 0.3},
-                      {**params, "traversal_native_discount": 1.5},
-                      {**params, "base_cost": {"columnar": columnar}},
-                      {**params, "base_cost": {**params["base_cost"],
-                                               "extra-engine": columnar}}]
-        for bad in (True, 0.0, math.nan, math.inf, -math.inf):
-            bad_params.append({**params, "size_exponent": bad})
+                      {**params, "size_exponent": math.inf},
+                      {**params, "base_cost": {"columnar": columnar}}]
+        for bad in (True, math.nan):
             bad_params.append({**params, "base_cost": {
                 **params["base_cost"], "columnar": [bad] + columnar[1:]}})
         for bad in bad_params:

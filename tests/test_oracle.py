@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from aae import graphmodel, oracle
-from aae.features import StorageConfig
+from aae.errors import ParseError
+from aae.features import StorageConfig, read_corpus, write_corpus
 from aae.graphmodel import (
     CATEGORY_KINDS,
     GraphStats,
     OperationKind,
     WorkloadProfile,
 )
-from aae.oracle import BASE_COST, label, op_cost, workload_cost
+from aae.oracle import (
+    BASE_COST,
+    INDEX_SPEEDUP,
+    TRAVERSAL_NATIVE_DISCOUNT,
+    cost_params,
+    label,
+    op_cost,
+    workload_cost,
+)
 
 
 def stats(nodes=100, edges=50, props=3):
@@ -196,3 +205,56 @@ class TestLabel:
             indexed = workload_cost(
                 g, w, StorageConfig("columnar", tuple(more)))
             assert indexed <= base
+
+
+class TestCostParamsValidation:
+    """A corpus header's cost_params must be the cost model's constants."""
+
+    def assert_refused(self, tmp_path, bad):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, {"cost_params": bad}, [])
+        with pytest.raises(ParseError) as exc:
+            read_corpus(path)
+        assert exc.value.line == 1, bad
+
+    def test_rejects_zero_base_cost(self, tmp_path):
+        assert all(cost > 0 for cost in BASE_COST)
+        params = cost_params()
+        self.assert_refused(tmp_path, {**params, "base_cost": {
+            e: list(BASE_COST[:-1]) + [0.0] for e in params["base_cost"]}})
+
+    def test_rejects_out_of_range_speedup(self, tmp_path):
+        assert 0 < INDEX_SPEEDUP <= 1
+        assert 0 < TRAVERSAL_NATIVE_DISCOUNT <= 1
+        params = cost_params()
+        for field, bad in (("index_speedup", 0.0), ("index_speedup", 0.3),
+                           ("traversal_native_discount", 1.5)):
+            self.assert_refused(tmp_path, {**params, field: bad})
+
+    def test_rejects_booleans_and_non_finite_numbers(self, tmp_path):
+        params = cost_params()
+        costs = params["base_cost"]
+        for bad in (True, False, math.nan, math.inf, -math.inf, "1.0", None):
+            for field in ("index_speedup", "traversal_native_discount",
+                          "size_exponent"):
+                self.assert_refused(tmp_path, {**params, field: bad})
+            table = [bad] + costs["columnar"][1:]
+            self.assert_refused(tmp_path, {
+                **params, "base_cost": {**costs, "columnar": table}})
+
+    def test_rejects_unknown_or_missing_engine(self, tmp_path):
+        params = cost_params()
+        costs = params["base_cost"]
+        self.assert_refused(tmp_path, {**params, "base_cost": {
+            **costs, "extra-engine": costs["columnar"]}})
+        self.assert_refused(tmp_path, {
+            **params, "base_cost": {"columnar": costs["columnar"]}})
+
+    def test_dict_roundtrip(self, tmp_path):
+        params = cost_params()
+        assert params["base_cost"] == {
+            e: list(BASE_COST) for e in ("native-graph", "columnar")}
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, {"cost_params": params}, [])
+        header, _ = read_corpus(path)
+        assert header["cost_params"] == params
