@@ -122,12 +122,15 @@ def _round9(x: float) -> float:
 
 
 def instance_to_record(inst: EvaluationInstance) -> str:
-    vector = [_round9(v) for v in inst.vector]
     mask = inst.mask
-    if PAD_VALUE in vector[:mask.sum()]:
+    real = int(mask.sum())
+    # Only the real prefix is rounded; the pad is written as -1.0. If the
+    # real entries do not all come first, a -1 falls in that prefix.
+    vector = [_round9(v) for v in inst.vector[:real].tolist()]
+    if PAD_VALUE in vector:
         raise ValidationError("a real-prefix entry is or renders as -1")
     record = {
-        "vector": vector,
+        "vector": vector + [PAD_VALUE] * (mask.size - real),
         "mask": mask.tolist(),
         "label": inst.label,
         "provenance": inst.provenance,
@@ -192,6 +195,9 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
     # Every record has the header's max_len or, without one, the first
     # record's length.
     length, source = header.get("max_len"), "the header's max_len"
+    if "max_len" in header and (type(length) is not int or length < 1):
+        raise ParseError(f"header max_len {length!r} is not an int >= 1",
+                         line=1)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue

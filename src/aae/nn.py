@@ -22,7 +22,10 @@ x_b[:, k:k+L']^T and dx[:, :, k:k+L'] += W[:, :, k]^T @ dz. Its cache holds
 the layer input x itself. MaxPool1D's backward scatters dy into a block view
 of one zeroed dx. GRU stacks its z, r and h gates in one W of shape
 (3, H, H+input_size) and one b of shape (3, H); its params() returns the
-aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of them.
+aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of them. A GRU step
+takes z and r from one stacked product and one sigmoid call, and blends by
+the mask only on steps with a padded row; each element sees the per-gate
+form's float operations in order, so results match that form to the bit.
 
 Network.forward runs a leading Conv1D/MaxPool1D stack on the shortest prefix
 of the input that still covers every stack output position seeing a real
@@ -277,6 +280,11 @@ class GRU:
     are skipped outright. W stacks the z, r and h gate matrices, each acting
     on [h_prev, x_t], as (3, H, H+input_size); b is (3, H). params() returns
     the aae-net-v1 tensors Wz, Wr, Wh, bz, br, bh as views of W and b.
+    The z and r gates come from one stacked product and one sigmoid per
+    step; the blend m * h + (1 - m) * h_prev runs only on steps with a
+    padded row. Per element these are the operations of the per-gate form
+    (cat @ Wz.T, cat @ Wr.T, the blend on every step), so results equal its
+    bit for bit.
     """
 
     kind = "gru"
@@ -310,49 +318,63 @@ class GRU:
                 "mask must be a prefix of 1s followed by 0s")
         h = np.zeros((x.shape[0], self.hidden_size))
         cache = []
-        (Wz, Wr, Wh), (bz, br, bh) = self.W, self.b
+        # The z and r gates' products over the transposed views of W[0] and
+        # W[1], as cat @ Wz.T and cat @ Wr.T take them: a contiguous copy
+        # of the stacked view may round differently.
+        Wzr, bzr = self.W[:2].transpose(0, 2, 1), self.b[:2, None, :]
+        WhT, bh = self.W[2].T, self.b[2]
         # Masks are prefixes, so the steps any row uses come first.
-        for t in range(int(mask.any(axis=0).sum())):
-            m = mask[:, t:t + 1]
+        steps = int(mask.any(axis=0).sum())
+        full = mask[:, :steps].all(axis=0)
+        for t in range(steps):
             h_prev = h
             xt = x[:, t, :]
             cat = np.concatenate([h_prev, xt], axis=1)
-            z = sigmoid(cat @ Wz.T + bz)
-            r = sigmoid(cat @ Wr.T + br)
+            zr = sigmoid(np.matmul(cat, Wzr) + bzr)
+            omzr = 1.0 - zr
+            z, r = zr
             cat_h = np.concatenate([r * h_prev, xt], axis=1)
-            h_cand = np.tanh(cat_h @ Wh.T + bh)
-            h_new = (1.0 - z) * h_prev + z * h_cand
-            h = m * h_new + (1.0 - m) * h_prev
-            cache.append((m, h_prev, cat, cat_h, z, r, h_cand))
+            h_cand = np.tanh(cat_h @ WhT + bh)
+            h = omzr[0] * h_prev + z * h_cand
+            m = None
+            if not full[t]:
+                m = mask[:, t:t + 1]
+                h = m * h + (1.0 - m) * h_prev
+            cache.append((m, h_prev, cat, cat_h, zr, omzr, h_cand))
         self._cache = cache
         return h
 
     def backward(self, dh: np.ndarray) -> None:
-        Uz, Ur, Uh = self.W[:, :, :self.hidden_size]
-        dWz, dWr, dWh = self.dW = np.zeros_like(self.W)
-        dbz, dbr, dbh = self.db = np.zeros_like(self.b)
-        for m, h_prev, cat, cat_h, z, r, h_cand in reversed(self._cache):
-            dh_step = dh * m
-            dh_prev = dh * (1.0 - m) + dh_step * (1.0 - z)
+        H = self.hidden_size
+        Uzr, Uh = self.W[:2, :, :H], self.W[2, :, :H]
+        dW = self.dW = np.zeros_like(self.W)
+        db = self.db = np.zeros_like(self.b)
+        dWzr, dWh, dbzr, dbh = dW[:2], dW[2], db[:2], db[2]
+        for m, h_prev, cat, cat_h, zr, omzr, h_cand in reversed(self._cache):
+            if m is None:  # every row real: the blend was skipped
+                dh_step = dh
+                dh_prev = dh * omzr[0]
+            else:
+                dh_step = dh * m
+                dh_prev = dh * (1.0 - m) + dh_step * omzr[0]
 
-            dz = dh_step * (h_cand - h_prev)
-            dcand = dh_step * z
+            # dz and dr, stacked as the gates are.
+            z, r = zr
+            dzr = np.empty_like(zr)
+            np.multiply(dh_step, h_cand - h_prev, out=dzr[0])
 
-            da_h = dcand * (1.0 - h_cand * h_cand)
+            da_h = dh_step * z * (1.0 - h_cand * h_cand)
             dWh += da_h.T @ cat_h
-            dbh += da_h.sum(axis=0)
+            dbh += np.add.reduce(da_h, 0)
             dhr = da_h @ Uh
-            dr = dhr * h_prev
+            np.multiply(dhr, h_prev, out=dzr[1])
             dh_prev = dh_prev + dhr * r
 
-            da_z = dz * z * (1.0 - z)
-            dWz += da_z.T @ cat
-            dbz += da_z.sum(axis=0)
-            da_r = dr * r * (1.0 - r)
-            dWr += da_r.T @ cat
-            dbr += da_r.sum(axis=0)
-
-            dh = dh_prev + (da_z @ Uz + da_r @ Ur)
+            da_zr = dzr * zr * omzr
+            dWzr += np.matmul(da_zr.transpose(0, 2, 1), cat)
+            dbzr += np.add.reduce(da_zr, 1)
+            p = np.matmul(da_zr, Uzr)
+            dh = dh_prev + (p[0] + p[1])
         # Inputs are raw features; no upstream layer consumes their gradient.
 
     def params(self):

@@ -188,7 +188,8 @@ class TestTrain:
         header, *records = Path(corpus_path).read_bytes().splitlines(True)
         # The third file's record has a mask that leaves out a real entry.
         # The next three come from a gen corpus: cut after 3 of its 300
-        # records, or with one cost parameter edited in its header.
+        # records, or with one cost parameter edited in its header. The last
+        # has a max_len of true over a 1-entry record.
         for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n',
                         b'{"format":"aae-corpus-v1"}\n'
                         b'{"vector":[1.0,3.0],"mask":[1,0],"label":1}\n',
@@ -197,7 +198,9 @@ class TestTrain:
                                                  b'"index_speedup":0.3'),
                                   *records]),
                         b"".join([header.replace(b",1.0,", b",true,", 1),
-                                  *records])):
+                                  *records]),
+                        b'{"format":"aae-corpus-v1","max_len":true}\n'
+                        b'{"vector":[1.0],"mask":[1],"label":1}\n'):
             bad.write_bytes(content)
             code = run("train", "--corpus", str(bad),
                        "--out", str(tmp_path / "log.csv"))

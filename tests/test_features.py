@@ -241,6 +241,14 @@ class TestCorpusSerialization:
             with pytest.raises(ParseError) as exc:
                 read_corpus(path)
             assert exc.value.line == 1, count
+        # A max_len, when present, is an int >= 1: a true is no 1, and a
+        # header-only corpus carries no bad one either.
+        for max_len in (True, "x", 0, -1, 1.0, None):
+            for instances in ([], [EvaluationInstance(np.array([1.0]))]):
+                write_corpus(path, {"max_len": max_len}, instances)
+                with pytest.raises(ParseError, match="max_len") as exc:
+                    read_corpus(path)
+                assert exc.value.line == 1, max_len
         # Decode failures in the header: a byte that is not UTF-8, a
         # max_len past Python's int-digit limit, lists nested too deep.
         for text in ('{"format":"aae-corpus-v1","profile":"\udcff"}',

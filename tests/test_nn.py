@@ -419,6 +419,81 @@ class TestGRUStepMask:
                 assert np.array_equal(got, want_grads.pop(0))
 
 
+def per_gate_gru(gru, x, mask, dh):
+    """The GRU's output and its six gradients in params() order, with the
+    step written out per gate: three 2-D products, the mask blend on every
+    step, and .sum(axis=0) bias sums."""
+    (Wz, Wr, Wh), (bz, br, bh) = gru.W, gru.b
+    h = np.zeros((x.shape[0], gru.hidden_size))
+    cache = []
+    for t in range(int(mask.any(axis=0).sum())):
+        m = mask[:, t:t + 1]
+        h_prev = h
+        xt = x[:, t, :]
+        cat = np.concatenate([h_prev, xt], axis=1)
+        z = sigmoid(cat @ Wz.T + bz)
+        r = sigmoid(cat @ Wr.T + br)
+        cat_h = np.concatenate([r * h_prev, xt], axis=1)
+        h_cand = np.tanh(cat_h @ Wh.T + bh)
+        h_new = (1.0 - z) * h_prev + z * h_cand
+        h = m * h_new + (1.0 - m) * h_prev
+        cache.append((m, h_prev, cat, cat_h, z, r, h_cand))
+
+    Uz, Ur, Uh = gru.W[:, :, :gru.hidden_size]
+    dWz, dWr, dWh = dW = np.zeros_like(gru.W)
+    dbz, dbr, dbh = db = np.zeros_like(gru.b)
+    for m, h_prev, cat, cat_h, z, r, h_cand in reversed(cache):
+        dh_step = dh * m
+        dh_prev = dh * (1.0 - m) + dh_step * (1.0 - z)
+        dz = dh_step * (h_cand - h_prev)
+        dcand = dh_step * z
+        da_h = dcand * (1.0 - h_cand * h_cand)
+        dWh += da_h.T @ cat_h
+        dbh += da_h.sum(axis=0)
+        dhr = da_h @ Uh
+        dr = dhr * h_prev
+        dh_prev = dh_prev + dhr * r
+        da_z = dz * z * (1.0 - z)
+        dWz += da_z.T @ cat
+        dbz += da_z.sum(axis=0)
+        da_r = dr * r * (1.0 - r)
+        dWr += da_r.T @ cat
+        dbr += da_r.sum(axis=0)
+        dh = dh_prev + (da_z @ Uz + da_r @ Ur)
+    return h, [dWz, dWr, dWh, dbz, dbr, dbh]
+
+
+class TestGRUStackedGates:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("step", [1, 8])
+    def test_matches_the_per_gate_step(self, hidden, step, data):
+        rows = data.draw(st.one_of(st.integers(1, 40), st.just(256)))
+        steps = data.draw(st.integers(1, 12))
+        full = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gru = init_layer(GRU(hidden, input_size=step),
+                         seed=int(rng.integers(2**32)))
+        gru.b = rng.normal(scale=0.1, size=gru.b.shape)
+        x = rng.normal(size=(rows, steps, step))
+        # Mixed lengths put a row shorter than the longest, so some step
+        # runs the blend; full ones skip it on every step.
+        reals = np.full(rows, steps)
+        if not full:
+            reals = rng.integers(0, steps + 1, size=rows)
+            reals[0] = steps - 1
+        mask = (np.arange(steps) < reals[:, None]).astype(
+            data.draw(st.sampled_from([bool, float])))
+        dh = rng.normal(size=(rows, hidden))
+
+        want, want_grads = per_gate_gru(gru, x, mask, dh)
+        assert np.array_equal(gru.forward(x, mask), want)
+        gru.backward(dh)
+        for (_, _, got), expected in zip(gru.params(), want_grads):
+            assert np.array_equal(got, expected)
+
+
 class TestSGD:
     def test_zero_learning_rate_is_identity(self):
         net = small_conv_network(seed=3)
