@@ -60,7 +60,7 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
     # Pool indices: unlabeled ascending, labeled in purchase order.
     unlabeled = np.arange(len(pool))
     labeled = np.empty(0, dtype=unlabeled.dtype)
-    retired = np.empty(0, dtype=unlabeled.dtype)
+    retired = 0
     report: list[dict] = []
 
     hidden = np.array([inst.label for inst in pool])
@@ -82,7 +82,7 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
         confidence = np.maximum(probs, 1.0 - probs)
         correct = (probs >= 0.5) == (hidden == 1)
         confident = confidence[unlabeled] >= threshold
-        retired = np.concatenate([retired, unlabeled[confident]])
+        retired += int(confident.sum())
         unlabeled = unlabeled[~confident]
 
         rest = np.delete(correct, labeled)  # retired and unlabeled rows
@@ -90,7 +90,7 @@ def active_loop(pool: list[EvaluationInstance], arch: Architecture | str,
             "round": len(report) + 1,
             "labeled": labeled.size,
             "unlabeled": unlabeled.size,
-            "retired": retired.size,
+            "retired": retired,
             "labeled_accuracy": float(correct[labeled].mean()),
             "unlabeled_accuracy": (float(rest.mean()) if rest.size
                                    else float("nan")),

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 Exit-code mapping for the CLI lives in cli.py; keep the hierarchy flat so
 callers can catch the base class.
@@ -44,3 +44,19 @@ class ParseError(AAEError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def is_size(value) -> bool:
+    """An int >= 1 that is not a bool: a length, a count of units, a step."""
+    return type(value) is int and value >= 1
+
+
+def check_header(header, fields: dict, line: int) -> None:
+    """A ParseError at `line` unless each field in `fields` passes its rule."""
+    if type(header) is not dict:
+        raise ParseError("header is not a JSON object", line=line)
+    for name, (rule, accepts) in fields.items():
+        if name not in header or not accepts(header[name]):
+            got = repr(header[name]) if name in header else "missing"
+            raise ParseError(f"header {name} must be {rule}, got {got}",
+                             line=line)

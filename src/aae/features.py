@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ValidationError
+from .errors import (CapacityError, ParseError, ValidationError,
+                     check_header, is_size)
 from .graphmodel import GraphStats, WorkloadProfile
 
 ENGINES = ("native-graph", "columnar")
@@ -141,21 +142,26 @@ def instance_to_record(inst: EvaluationInstance) -> str:
 def instance_from_record(line: str | bytes, lineno: int | None = None) -> EvaluationInstance:
     try:
         record = json.loads(line)
+        label, provenance = record["label"], record["provenance"]
+        # numpy would take a true or a "1.5" for a number, so check the JSON
+        # types first; dict.values refuses a provenance that is no object.
+        if not ({int, float}.issuperset(map(type, record["vector"]))
+                and {int}.issuperset(map(type, record["mask"]))
+                and {str}.issuperset(map(type, dict.values(provenance)))
+                and (label is None or type(label) is int and label in (0, 1))):
+            raise ValueError("entries must be numbers (mask: ints), the "
+                             "label 0/1/null, provenance values strings")
         vector = np.array(record["vector"], dtype=np.float64)
-        mask = np.array(record["mask"], dtype=np.float64)
-        label = record["label"]
-        provenance = record.get("provenance", {})
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         raise ParseError(f"bad instance record: {exc}", line=lineno) from exc
-    if vector.ndim != 1 or not np.isfinite(vector).all():
-        raise ParseError("vector is not a list of finite numbers", line=lineno)
+    if not np.isfinite(vector).all():
+        raise ParseError("vector holds a non-finite number", line=lineno)
     real = vector != PAD_VALUE
-    if not (np.array_equal(mask, real) and real[:real.sum()].all()):
+    # The mask entries are ints, so list equality compares them as 0 and 1.
+    if not (record["mask"] == real.tolist() and real[:real.sum()].all()):
         raise ParseError("mask must be 1 on the entries other than -1, and "
                          "those must come first", line=lineno)
-    if label is not None and (type(label) is not int or label not in (0, 1)):
-        raise ParseError(f"label must be 0/1/null, got {label!r}", line=lineno)
     return EvaluationInstance(vector=vector, label=label,
                               provenance=provenance)
 
@@ -172,9 +178,23 @@ def write_corpus(path, header: dict, instances) -> None:
                 raise ValidationError(f"record {index}: {exc}") from exc
 
 
-def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
+def _is_cost_model(value) -> bool:
     from .oracle import cost_params  # oracle imports this module
+    return (json.dumps(value, sort_keys=True)  # as text: a true is no 1.0
+            == json.dumps(cost_params(), sort_keys=True))
 
+
+# Every corpus header field, each with its rule; all are required. profile
+# and seed are provenance that no reader uses, and go unchecked.
+_CORPUS_HEADER = {
+    "format": ('"aae-corpus-v1"', lambda v: v == "aae-corpus-v1"),
+    "cost_params": ("the cost model's cost_params()", _is_cost_model),
+    "max_len": ("an int >= 1", is_size),
+    "count": ("an int", lambda v: type(v) is int),
+}
+
+
+def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
     # Lines stay bytes and json.loads decodes each, so a bad byte names it.
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -184,32 +204,17 @@ def read_corpus(path) -> tuple[dict, list[EvaluationInstance]]:
         header = json.loads(lines[0])
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad corpus header: {exc}", line=1) from exc
-    if not isinstance(header, dict) or header.get("format") != "aae-corpus-v1":
-        raise ParseError("missing aae-corpus-v1 header", line=1)
-    expected = cost_params()  # compared as JSON text too: a true is no 1.0
-    got = header.get("cost_params", expected)
-    if got != expected or (json.dumps(got, sort_keys=True)
-                           != json.dumps(expected, sort_keys=True)):
-        raise ParseError("cost_params are not the cost model's", line=1)
-    instances = []
-    # Every record has the header's max_len or, without one, the first
-    # record's length.
-    length, source = header.get("max_len"), "the header's max_len"
-    if "max_len" in header and (type(length) is not int or length < 1):
-        raise ParseError(f"header max_len {length!r} is not an int >= 1",
-                         line=1)
+    check_header(header, _CORPUS_HEADER, line=1)
+    length, instances = header["max_len"], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         inst = instance_from_record(line, lineno=lineno)
-        if length is None:
-            length, source = inst.vector.size, "the first record's length"
         if inst.vector.size != length:
-            raise ParseError(f"record has length {inst.vector.size}, "
-                             f"{source} is {length!r}", line=lineno)
+            raise ParseError(f"record has length {inst.vector.size}, the "
+                             f"header's max_len is {length}", line=lineno)
         instances.append(inst)
-    count = header.get("count", len(instances))
-    if type(count) is not int or count != len(instances):
-        raise ParseError(f"header count {count!r} is not the "
+    if header["count"] != len(instances):
+        raise ParseError(f"header count {header['count']} is not the "
                          f"{len(instances)} records that follow", line=1)
     return header, instances

@@ -12,9 +12,9 @@ real where not the pad value -1, real entries first. It hands x to layers[0]
 alone: a Conv1D gets a channel axis, a GRU gets input_size-wide steps and the
 mask of the steps holding a real entry (the Network checks when built that
 the step divides input_len), and any other layer gets x as is.
-Each layer defines forward and backward (Dense also backward_preact) on its
-own class, with no shared base: the benchmark tracer patches these class
-attributes by name.
+The Layer base checks and stores constructor arguments and gives spec() and a
+no-op init and params; it holds no forward or backward (nor backward_preact),
+as the benchmark tracer patches those in each layer class's own __dict__.
 
 Conv1D is K shifted matmuls, one per tap k, for each pass:
 z = sum_k W[:, :, k] @ x[:, :, k:k+L'], dW[:, :, k] = sum_b dz_b @
@@ -51,7 +51,8 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, ValidationError
+from .errors import ParseError, ShapeError, ValidationError, check_header, \
+    is_size
 from .features import PAD_VALUE
 
 
@@ -66,26 +67,45 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int,
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv1D:
+class Layer:
+    """Each argument is a size (an int >= 1, not a bool) or an activation from
+    the class's tuple `activations`; spec() lists them in order after kind."""
+
+    def __init__(self, **args):
+        for name, value in args.items():
+            if name == "activation" and value not in self.activations:
+                raise ValidationError(f"{self.kind} activation {value!r} is "
+                                      f"not one of {self.activations}")
+            if name != "activation" and not is_size(value):
+                raise ValidationError(f"{self.kind} {name} {value!r} is not "
+                                      f"an int >= 1")
+            setattr(self, name, value)
+        self._args = args
+        self._cache = None
+
+    def init(self, rng: np.random.Generator) -> None:
+        pass
+
+    def params(self) -> list:
+        return []
+
+    def spec(self) -> dict:
+        return {"kind": self.kind, **self._args}
+
+
+class Conv1D(Layer):
     """Valid cross-correlation, stride 1, optional tanh."""
 
     kind = "conv1d"
+    activations = ("linear", "tanh")
 
     def __init__(self, filters: int, kernel_size: int, in_channels: int,
                  activation: str = "linear"):
-        if kernel_size < 1 or filters < 1:
-            raise ValidationError("filters and kernel_size must be >= 1")
-        if activation not in ("linear", "tanh"):
-            raise ValidationError(f"unsupported activation {activation!r}")
-        self.filters = filters
-        self.kernel_size = kernel_size
-        self.in_channels = in_channels
-        self.activation = activation
+        super().__init__(filters=filters, kernel_size=kernel_size,
+                         in_channels=in_channels, activation=activation)
         self.W = np.zeros((filters, in_channels, kernel_size))
         self.b = np.zeros(filters)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
+        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
 
     def init(self, rng: np.random.Generator) -> None:
         fan_in = self.in_channels * self.kernel_size
@@ -130,26 +150,14 @@ class Conv1D:
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "filters": self.filters,
-                "kernel_size": self.kernel_size,
-                "in_channels": self.in_channels,
-                "activation": self.activation}
 
-
-class MaxPool1D:
+class MaxPool1D(Layer):
     """Non-overlapping max pooling; remainder positions are dropped."""
 
     kind = "maxpool1d"
 
     def __init__(self, pool_size: int):
-        if pool_size < 1:
-            raise ValidationError("pool_size must be >= 1")
-        self.pool_size = pool_size
-        self._cache = None
-
-    def init(self, rng) -> None:
-        pass
+        super().__init__(pool_size=pool_size)
 
     def output_length(self, length: int) -> int:
         if length < self.pool_size:
@@ -180,53 +188,34 @@ class MaxPool1D:
         np.put_along_axis(blocks, argmax[..., None], dy[..., None], axis=3)
         return dx
 
-    def params(self):
-        return []
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "pool_size": self.pool_size}
-
-
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
 
     def __init__(self):
-        self._shape = None
-
-    def init(self, rng) -> None:
-        pass
+        super().__init__()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy.reshape(self._shape)
-
-    def params(self):
-        return []
-
-    def spec(self) -> dict:
-        return {"kind": self.kind}
+        return dy.reshape(self._cache)
 
 
-class Dense:
+class Dense(Layer):
     """Affine map with optional sigmoid."""
 
     kind = "dense"
+    activations = ("linear", "sigmoid")
 
     def __init__(self, units: int, in_features: int,
                  activation: str = "linear"):
-        if activation not in ("linear", "sigmoid"):
-            raise ValidationError(f"unsupported activation {activation!r}")
-        self.units = units
-        self.in_features = in_features
-        self.activation = activation
+        super().__init__(units=units, in_features=in_features,
+                         activation=activation)
         self.W = np.zeros((units, in_features))
         self.b = np.zeros(units)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
+        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
 
     def init(self, rng: np.random.Generator) -> None:
         self.W = _glorot_uniform(rng, self.W.shape, self.in_features,
@@ -266,13 +255,8 @@ class Dense:
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "units": self.units,
-                "in_features": self.in_features,
-                "activation": self.activation}
 
-
-class GRU:
+class GRU(Layer):
     """GRU over a masked sequence, honoring right padding.
 
     Timesteps carry `input_size` scalars. Steps whose mask is 0 copy the
@@ -290,17 +274,10 @@ class GRU:
     kind = "gru"
 
     def __init__(self, hidden_size: int, input_size: int = 1):
-        if hidden_size < 1:
-            raise ValidationError("hidden_size must be >= 1")
-        if input_size < 1:
-            raise ValidationError("input_size must be >= 1")
-        self.hidden_size = hidden_size
-        self.input_size = input_size
+        super().__init__(hidden_size=hidden_size, input_size=input_size)
         self.W = np.zeros((3, hidden_size, hidden_size + input_size))
         self.b = np.zeros((3, hidden_size))
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
+        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
 
     def init(self, rng: np.random.Generator) -> None:
         h, k = self.hidden_size, self.input_size
@@ -381,10 +358,6 @@ class GRU:
         W, dW, b, db = self.W, self.dW, self.b, self.db
         return [("Wz", W[0], dW[0]), ("Wr", W[1], dW[1]), ("Wh", W[2], dW[2]),
                 ("bz", b[0], db[0]), ("br", b[1], db[1]), ("bh", b[2], db[2])]
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "hidden_size": self.hidden_size,
-                "input_size": self.input_size}
 
 
 # Kinds of the leading layers that Network.forward may run on a cut batch.
@@ -541,20 +514,24 @@ class Network:
 
 _FORMAT_TAG = "aae-net-v1"
 
-# Each layer's spec() lists exactly its constructor's arguments.
 _LAYER_CLASSES = {cls.kind: cls for cls in (Conv1D, MaxPool1D, Flatten,
                                             Dense, GRU)}
+
+# Every network header field, in save_network's order, with its rule.
+_NETWORK_HEADER = {
+    "arch": ("a string", lambda v: type(v) is str),
+    "input_len": ("an int >= 1", is_size),
+    "seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "layers": ("a non-empty list", lambda v: type(v) is list and v != []),
+}
 
 
 def save_network(net: Network, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{_FORMAT_TAG}\n")
-        fh.write(json.dumps({
-            "arch": net.arch,
-            "input_len": net.input_len,
-            "seed": net.seed,
-            "layers": [layer.spec() for layer in net.layers],
-        }, separators=(",", ":")) + "\n")
+        header = {name: getattr(net, name) for name in _NETWORK_HEADER}
+        header["layers"] = [layer.spec() for layer in net.layers]
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for layer_idx, name, value in net.parameter_tensors():
             dims = " ".join(str(d) for d in value.shape)
             fh.write(f"tensor {layer_idx} {name} {dims}\n")
@@ -573,17 +550,18 @@ def load_network(path) -> Network:
         raise ParseError(f"not an {_FORMAT_TAG} file", line=1)
     try:
         header = json.loads(lines[1])
+        check_header(header, _NETWORK_HEADER, line=2)
         layers = [_LAYER_CLASSES[s["kind"]](
                       **{k: v for k, v in s.items() if k != "kind"})
                   for s in header["layers"]]
-        seed, arch = header["seed"], header["arch"]
-        head = layers[-1].spec() if layers else {}
-        if type(seed) is not int or seed < 0 or type(arch) is not str:
-            raise ValueError("seed must be an int >= 0 and arch a string")
+        if [layer.spec() for layer in layers] != header["layers"]:
+            raise ValueError("a layer spec leaves out a default argument")
+        head = layers[-1].spec()
         if (head.get("kind"), head.get("units"), head.get("activation")) != (
                 "dense", 1, "sigmoid"):
             raise ValueError("the chain must end in a 1-unit sigmoid dense")
-        net = Network(layers, arch, header["input_len"], seed)
+        net = Network(layers, header["arch"], header["input_len"],
+                      header["seed"])
         # The layers must accept an input of the header's input_len.
         net.forward(np.zeros((1, net.input_len)))
     except (IndexError, KeyError, TypeError, ValueError, RecursionError,

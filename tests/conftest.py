@@ -3,6 +3,14 @@ import pytest
 
 from aae import graphmodel
 from aae.features import StorageConfig
+from aae.oracle import cost_params
+
+
+def corpus_header(count=0, max_len=1, **fields):
+    """A complete corpus header as gen writes it (write_corpus adds the
+    format), for `count` records of length `max_len`, with `fields` set."""
+    return {"profile": "test", "seed": 0, "count": count, "max_len": max_len,
+            "cost_params": cost_params(), **fields}
 
 
 def numeric_gradient(loss_fn, array, eps=1e-4):

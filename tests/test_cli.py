@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from aae.cli import (
 from aae.errors import ValidationError
 from aae.features import read_corpus
 from aae.oracle import cost_params
+from conftest import corpus_header
 
 
 def run(*argv):
@@ -183,28 +185,38 @@ class TestTrain:
                    "--out", str(tmp_path / "log.csv"))
         assert code != EXIT_OK
 
-    def test_corrupt_corpus_parse_error(self, corpus_path, tmp_path):
+    def test_corrupt_corpus_parse_error(self, corpus_path, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         header, *records = Path(corpus_path).read_bytes().splitlines(True)
-        # The third file's record has a mask that leaves out a real entry.
-        # The next three come from a gen corpus: cut after 3 of its 300
-        # records, or with one cost parameter edited in its header. The last
-        # has a max_len of true over a 1-entry record.
-        for content in (b"junk\n", b'{"format":"aae-corpus-v1"}\n\xff\n',
-                        b'{"format":"aae-corpus-v1"}\n'
-                        b'{"vector":[1.0,3.0],"mask":[1,0],"label":1}\n',
-                        b"".join([header, *records[:3]]),
-                        b"".join([header.replace(b'"index_speedup":0.2',
-                                                 b'"index_speedup":0.3'),
-                                  *records]),
-                        b"".join([header.replace(b",1.0,", b",true,", 1),
-                                  *records]),
-                        b'{"format":"aae-corpus-v1","max_len":true}\n'
-                        b'{"vector":[1.0],"mask":[1],"label":1}\n'):
+
+        def hand(record, **fields):
+            """A complete header for one record, then the record."""
+            return (json.dumps({"format": "aae-corpus-v1", **corpus_header(
+                count=1, **fields)}) + "\n").encode() + record + b"\n"
+
+        # The second file's record is a byte that is not UTF-8; the third's
+        # has a mask that leaves out a real entry. The next three come from
+        # a gen corpus: cut after 3 of its 300 records, or with one cost
+        # parameter edited in its header. The last has a max_len of true
+        # over a 1-entry record.
+        record = b'{"vector":[1.0,3.0],"mask":[1,0],"label":1,"provenance":{}}'
+        for content, line in (
+                (b"junk\n", 1),
+                (hand(b"\xff", max_len=2), 2),
+                (hand(record, max_len=2), 2),
+                (b"".join([header, *records[:3]]), 1),
+                (b"".join([header.replace(b'"index_speedup":0.2',
+                                          b'"index_speedup":0.3'),
+                           *records]), 1),
+                (b"".join([header.replace(b",1.0,", b",true,", 1),
+                           *records]), 1),
+                (hand(b'{"vector":[1.0],"mask":[1],"label":1,'
+                      b'"provenance":{}}', max_len=True), 1)):
             bad.write_bytes(content)
             code = run("train", "--corpus", str(bad),
                        "--out", str(tmp_path / "log.csv"))
             assert code == EXIT_PARSE
+            assert capsys.readouterr().err.startswith(f"error: line {line}:")
 
 
 class TestActiveCommand:

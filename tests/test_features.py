@@ -24,6 +24,7 @@ from aae.features import (
 )
 from aae.graphmodel import GraphStats, WorkloadProfile
 from aae.oracle import cost_params
+from conftest import corpus_header
 
 
 def minimal_stats():
@@ -207,7 +208,8 @@ class TestCorpusSerialization:
     def test_corpus_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         inst = self.make_instance()
-        write_corpus(path, {"seed": 3}, [inst, inst])
+        write_corpus(path, corpus_header(count=2, max_len=48, seed=3),
+                     [inst, inst])
         header, instances = read_corpus(path)
         assert header["seed"] == 3
         assert len(instances) == 2
@@ -217,8 +219,15 @@ class TestCorpusSerialization:
         path.write_text("not json\n")
         with pytest.raises(ParseError):
             read_corpus(path)
-        # A cost_params block, when present, must be the cost model's to
-        # the JSON text: no true for a 1.0, no other value, no engine less.
+
+        def assert_refused(field, header, instances):
+            write_corpus(path, header, instances)
+            with pytest.raises(ParseError, match=field) as exc:
+                read_corpus(path)
+            assert exc.value.line == 1, header[field]
+
+        # The cost_params must be the cost model's to the JSON text: no
+        # true for a 1.0, no other value, no engine less.
         params = cost_params()
         columnar = params["base_cost"]["columnar"]
         # test_oracle.py's TestCostParamsValidation tries every field.
@@ -230,29 +239,31 @@ class TestCorpusSerialization:
             bad_params.append({**params, "base_cost": {
                 **params["base_cost"], "columnar": [bad] + columnar[1:]}})
         for bad in bad_params:
-            write_corpus(path, {"cost_params": bad}, [self.make_instance()])
-            with pytest.raises(ParseError) as exc:
-                read_corpus(path)
-            assert exc.value.line == 1, bad
-        # A count, when present, is an int equal to the number of records:
-        # a corpus cut at a line boundary is not a shorter corpus.
+            assert_refused("cost_params", corpus_header(
+                count=1, max_len=48, cost_params=bad), [self.make_instance()])
+        # The count is an int equal to the number of records: a corpus cut
+        # at a line boundary is not a shorter corpus.
         for count in (5, 2, True, 3.0, None, "3"):
-            write_corpus(path, {"count": count}, [self.make_instance()] * 3)
-            with pytest.raises(ParseError) as exc:
-                read_corpus(path)
-            assert exc.value.line == 1, count
-        # A max_len, when present, is an int >= 1: a true is no 1, and a
-        # header-only corpus carries no bad one either.
+            assert_refused("count", corpus_header(count=count, max_len=48),
+                           [self.make_instance()] * 3)
+        # The max_len is an int >= 1: a true is no 1, and a header-only
+        # corpus carries no bad one either.
         for max_len in (True, "x", 0, -1, 1.0, None):
             for instances in ([], [EvaluationInstance(np.array([1.0]))]):
-                write_corpus(path, {"max_len": max_len}, instances)
-                with pytest.raises(ParseError, match="max_len") as exc:
-                    read_corpus(path)
-                assert exc.value.line == 1, max_len
+                assert_refused("max_len", corpus_header(
+                    count=len(instances), max_len=max_len), instances)
+        # A header that is not a JSON object.
+        for text in ("[]", '"aae-corpus-v1"', "1", "null"):
+            path.write_text(text + "\n")
+            with pytest.raises(ParseError, match="JSON object") as exc:
+                read_corpus(path)
+            assert exc.value.line == 1, text
         # Decode failures in the header: a byte that is not UTF-8, a
         # max_len past Python's int-digit limit, lists nested too deep.
-        for text in ('{"format":"aae-corpus-v1","profile":"\udcff"}',
-                     '{"format":"aae-corpus-v1","max_len":' + "9" * 5000 + "}",
+        good = json.dumps({"format": "aae-corpus-v1", **corpus_header(
+            profile="X", max_len=7)})
+        for text in (good.replace('"X"', '"\udcff"'),
+                     good.replace('"max_len": 7', '"max_len": ' + "9" * 5000),
                      "[" * 100_000 + "]" * 100_000):
             path.write_text(text + "\n", errors="surrogateescape")
             with pytest.raises(ParseError) as exc:
@@ -261,16 +272,12 @@ class TestCorpusSerialization:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), length=st.integers(1, 64),
-           count=st.integers(0, 5), with_max_len=st.booleans(),
-           with_params=st.booleans())
+           count=st.integers(0, 5))
     def test_corpus_roundtrip_property(self, tmp_path_factory, data, length,
-                                       count, with_max_len, with_params):
-        header = {"profile": data.draw(st.text()),
-                  "seed": data.draw(st.integers())}
-        if with_max_len:
-            header["max_len"] = length
-        if with_params:
-            header["cost_params"] = cost_params()
+                                       count):
+        header = corpus_header(count=count, max_len=length,
+                               profile=data.draw(st.text()),
+                               seed=data.draw(st.integers()))
         instances, refused = [], []
         for index in range(count):
             real = data.draw(st.lists(
@@ -321,7 +328,12 @@ class TestCorpusSerialization:
             "float label 1.0": record(label=1.0),
             "float label 0.0": record(label=0.0),
             "nan vector entry": record(vector=[math.nan] + vector[1:]),
+            "true vector entry": record(vector=[True] + vector[1:]),
+            "string vector entry": record(vector=["1.5"] + vector[1:]),
             "mask value 2": record(mask=[2] + mask[1:]),
+            "true mask entries": record(mask=[bool(m) for m in mask]),
+            "string mask entries": record(mask=[str(m) for m in mask]),
+            "float mask entry": record(mask=[1.0] + mask[1:]),
             "mask not a prefix": record(
                 mask=mask[:real - 1] + [0, 1] + mask[real + 1:]),
             "non-pad entry past the mask": record(
@@ -329,8 +341,14 @@ class TestCorpusSerialization:
             "mask 1 on a -1 entry": record(
                 mask=mask[:real] + [1] + mask[real + 1:]),
             "scalar vector and mask": record(vector=3.0, mask=1),
-            "shorter than the first": record(vector=vector[:-1],
-                                             mask=mask[:-1]),
+            "nested vector": record(vector=[[v] for v in vector]),
+            "shorter than the header's max_len": record(vector=vector[:-1],
+                                                        mask=mask[:-1]),
+            "provenance a number": record(provenance=5),
+            "provenance a list": record(provenance=["t:0"]),
+            "provenance value a number": record(provenance={"stats": 0}),
+            "no provenance": json.dumps(
+                {k: v for k, v in good.items() if k != "provenance"}),
             # Written as byte 0xff, inside a JSON string.
             "byte not utf-8": record(provenance={"note": "X"}).replace(
                 "X", "\udcff"),
@@ -338,7 +356,10 @@ class TestCorpusSerialization:
             "lists nested 100,000 deep": record(
                 vector="X").replace('"X"', "[" * 100_000 + "]" * 100_000),
         }
-        header = json.dumps({"format": "aae-corpus-v1"})
+        header = json.dumps({"format": "aae-corpus-v1", **corpus_header(
+            count=2, max_len=len(vector))})
+        path.write_text("\n".join([header, record(), record()]) + "\n")
+        assert len(read_corpus(path)[1]) == 2
         for name, bad in bad_records.items():
             path.write_text("\n".join([header, record(), bad]) + "\n",
                             errors="surrogateescape")
@@ -347,8 +368,9 @@ class TestCorpusSerialization:
             assert exc.value.line == 3, name
 
         # A header max_len the records do not have fails at the first one.
-        header = json.dumps({"format": "aae-corpus-v1", "max_len": 999})
+        header = json.dumps({"format": "aae-corpus-v1", **corpus_header(
+            count=2, max_len=999)})
         path.write_text("\n".join([header, record(), record()]) + "\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(ParseError, match="max_len") as exc:
             read_corpus(path)
         assert exc.value.line == 2

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -542,6 +543,18 @@ class TestDeterminism:
         p = sigmoid(z)
         assert np.all(p > 0.0)
         assert np.all(p < 1.0)
+
+
+class TestLayerSpec:
+    @pytest.mark.parametrize("layer", [
+        Conv1D(4, 3, 2, "tanh"), MaxPool1D(2), Flatten(),
+        Dense(1, 3, "sigmoid"), GRU(3, 2)], ids=lambda layer: layer.kind)
+    def test_keys_are_the_constructor_parameters(self, layer):
+        spec = layer.spec()
+        names = list(inspect.signature(type(layer)).parameters)
+        assert list(spec) == ["kind", *names]
+        assert [getattr(layer, name) for name in names] == list(
+            spec.values())[1:]
 
 
 class TestSerialization:

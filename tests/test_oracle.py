@@ -21,6 +21,7 @@ from aae.oracle import (
     op_cost,
     workload_cost,
 )
+from conftest import corpus_header
 
 
 def stats(nodes=100, edges=50, props=3):
@@ -212,8 +213,8 @@ class TestCostParamsValidation:
 
     def assert_refused(self, tmp_path, bad):
         path = tmp_path / "corpus.jsonl"
-        write_corpus(path, {"cost_params": bad}, [])
-        with pytest.raises(ParseError) as exc:
+        write_corpus(path, corpus_header(cost_params=bad), [])
+        with pytest.raises(ParseError, match="cost_params") as exc:
             read_corpus(path)
         assert exc.value.line == 1, bad
 
@@ -255,6 +256,6 @@ class TestCostParamsValidation:
         assert params["base_cost"] == {
             e: list(BASE_COST) for e in ("native-graph", "columnar")}
         path = tmp_path / "corpus.jsonl"
-        write_corpus(path, {"cost_params": params}, [])
+        write_corpus(path, corpus_header(), [])
         header, _ = read_corpus(path)
         assert header["cost_params"] == params
