@@ -64,25 +64,15 @@ def build(arch: Architecture | str, input_len: int, seed: int = 0) -> Network:
         layers = [GRU(HIDDEN_SIZE, GRU_STEP),
                   Dense(1, HIDDEN_SIZE, "sigmoid")]
     else:
-        length = conv_output_lengths(arch, input_len)[-1]
-        layers = _conv_stack(deep=arch is Architecture.DCNN) + [
-            Flatten(), Dense(1, 16 * length, "sigmoid")]
+        stack = _conv_stack(deep=arch is Architecture.DCNN)
+        try:
+            length = conv_lengths(stack, input_len)[-1]
+        except ShapeError as exc:
+            raise ShapeError(f"{arch.value} {exc}") from exc
+        layers = stack + [Flatten(), Dense(1, 16 * length, "sigmoid")]
     net = Network(layers, arch=arch.value, input_len=input_len, seed=seed)
     net.initialize()
     return net
-
-
-def conv_output_lengths(arch: Architecture | str, input_len: int) -> list[int]:
-    """Per-layer output lengths of the conv/pool stack; an input too short
-    for a layer raises ShapeError naming that layer."""
-    arch = Architecture.parse(arch)
-    if arch is Architecture.GRU:
-        raise ValidationError("the GRU architecture has no conv stack")
-    stack = _conv_stack(deep=arch is Architecture.DCNN)
-    try:
-        return conv_lengths(stack, input_len)
-    except ShapeError as exc:
-        raise ShapeError(f"{arch.value} {exc}") from exc
 
 
 def _stack_vectors(instances: list[EvaluationInstance]) -> np.ndarray:

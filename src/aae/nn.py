@@ -27,9 +27,13 @@ takes z and r from one stacked product and one sigmoid call, and blends by
 the mask only on steps with a padded row; each element sees the per-gate
 form's float operations in order, so results match that form to the bit.
 
-Network.forward runs a leading Conv1D/MaxPool1D stack on the shortest prefix
-of the input that still covers every stack output position seeing a real
-entry, up to the batch's last column holding one. Past that column every row
+A Network whose first layer is a Conv1D sizes the Conv1D/MaxPool1D stack
+that leads its chain once, when built, on input_len: its depth, output
+length, stride and reach, or a ShapeError naming the layer it does not fit.
+Network.forward runs that stack on the shortest prefix of the input that
+still covers every stack output position seeing a real entry, up to the
+batch's last column holding one: stride * p + reach entries for p
+positions, with no walk of the layers per call. Past that column every row
 is pad, so each later output position holds one constant per channel; one
 all-pad row, appended to the cut batch, computes it, and its first output
 position fills those positions before the layers after the stack.
@@ -45,7 +49,6 @@ zero biases.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -197,7 +200,7 @@ class Flatten(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy.reshape(self._cache)
@@ -360,17 +363,13 @@ class GRU(Layer):
                 ("bz", b[0], db[0]), ("br", b[1], db[1]), ("bh", b[2], db[2])]
 
 
-# Kinds of the leading layers that Network.forward may run on a cut batch.
-_STACK_KINDS = ("conv1d", "maxpool1d")
-
-
 def conv_lengths(layers, length: int) -> list[int]:
     """Output length of each leading Conv1D or MaxPool1D layer on an input
     of `length`; a ShapeError names the first layer the input is too short
     for."""
     lengths = []
     for i, layer in enumerate(layers):
-        if layer.kind not in _STACK_KINDS:
+        if not isinstance(layer, (Conv1D, MaxPool1D)):
             break
         try:
             length = layer.output_length(length)
@@ -380,21 +379,12 @@ def conv_lengths(layers, length: int) -> list[int]:
     return lengths
 
 
-def covering_length(layers, positions: int) -> int:
-    """Shortest input on which the leading Conv1D and MaxPool1D layers give
-    `positions` output positions: the inverse of conv_lengths(...)[-1]."""
-    stack = itertools.takewhile(lambda layer: layer.kind in _STACK_KINDS,
-                                layers)
-    for layer in reversed(list(stack)):
-        if layer.kind == "conv1d":
-            positions += layer.kernel_size - 1
-        else:
-            positions *= layer.pool_size
-    return positions
-
-
 class Network:
-    """A layer chain ending in a 1-unit sigmoid head; layers[0] takes x."""
+    """A layer chain ending in a 1-unit sigmoid head; layers[0] takes x.
+
+    Built, it checks input_len against the first layers: a GRU step must
+    divide it, and a leading conv/pool stack, sized here once, must fit it.
+    """
 
     def __init__(self, layers: list, arch: str, input_len: int, seed: int):
         if layers[0].kind == "gru" and input_len % layers[0].input_size:
@@ -404,7 +394,20 @@ class Network:
         self.arch = arch
         self.input_len = input_len
         self.seed = seed
-        # (stack depth, computed positions) of the last forward's pad row.
+        # A leading conv/pool stack's depth, output length, stride (the
+        # product of its pool sizes) and reach: the shortest input giving p
+        # output positions is stride * p + reach.
+        self._depth, self._out_len, self._stride, self._reach = 0, 0, 1, 0
+        if layers[0].kind == "conv1d":
+            lengths = conv_lengths(layers, input_len)
+            self._depth, self._out_len = len(lengths), lengths[-1]
+            for layer in layers[:self._depth]:
+                if layer.kind == "conv1d":
+                    self._reach += (layer.kernel_size - 1) * self._stride
+                else:
+                    self._stride *= layer.pool_size
+        # How many stack output positions the last forward computed from the
+        # rows themselves when it filled the rest from a pad row, else None.
         self._pad_row = None
 
     def initialize(self) -> None:
@@ -438,17 +441,13 @@ class Network:
         """The leading conv/pool stack's output on x, taken from the cut
         batch where that is smaller, and the layers after the stack."""
         batch, length = x.shape
-        lengths = conv_lengths(self.layers, length)
-        depth, out_len = len(lengths), lengths[-1]
-        stack = self.layers[:depth]
+        out_len = self._out_len
         # Output position j reads the input from j * stride on, so it sees
         # a real entry only if j * stride < real.
         real = np.flatnonzero((x != PAD_VALUE).any(axis=0))
         real = int(real[-1]) + 1 if real.size else 0
-        stride = math.prod(layer.pool_size for layer in stack
-                           if layer.kind == "maxpool1d")
-        positions = min(max(-(-real // stride), 1), out_len)
-        cut = covering_length(stack, positions)
+        positions = min(max(-(-real // self._stride), 1), out_len)
+        cut = self._stride * positions + self._reach
         pad_row = positions < out_len
         out = x[:, None, :]
         if (batch + pad_row) * cut < batch * length:
@@ -457,15 +456,15 @@ class Network:
                 out = np.concatenate([out, np.full((1, 1, cut), PAD_VALUE)])
         else:
             pad_row = False
-        for layer in stack:
+        for layer in self.layers[:self._depth]:
             out = layer.forward(out)
         if pad_row:
-            self._pad_row = (depth, positions)
+            self._pad_row = positions
             tail = (batch, out.shape[1], out_len - positions)
             out = np.concatenate(
                 [out[:batch], np.broadcast_to(out[batch:, :, :1], tail)],
                 axis=2)
-        return out, self.layers[depth:]
+        return out, self.layers[self._depth:]
 
     def loss_and_backward(self, x: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -483,15 +482,15 @@ class Network:
         batch = x.shape[0]
         dz = ((probs - targets) / batch)[:, None]
         grad = head.backward_preact(dz)
-        depth, positions = self._pad_row or (0, None)
-        for layer in reversed(self.layers[depth:-1]):
+        positions = self._pad_row
+        for layer in reversed(self.layers[self._depth:-1]):
             grad = layer.backward(grad)
-        if self._pad_row:
+        if positions is not None:
             # Every filled position is a copy of the pad row's first one.
             pad = np.zeros((1, grad.shape[1], positions))
             pad[0, :, 0] = grad[:, :, positions:].sum(axis=(0, 2))
             grad = np.concatenate([grad[:, :, :positions], pad])
-        for layer in reversed(self.layers[:depth]):
+        for layer in reversed(self.layers[:self._depth]):
             grad = layer.backward(grad)
         return loss, probs
 
@@ -562,8 +561,9 @@ def load_network(path) -> Network:
             raise ValueError("the chain must end in a 1-unit sigmoid dense")
         net = Network(layers, header["arch"], header["input_len"],
                       header["seed"])
-        # The layers must accept an input of the header's input_len.
-        net.forward(np.zeros((1, net.input_len)))
+        # The layers must chain on an input of the header's input_len; with
+        # no rows, no GRU step runs.
+        net.forward(np.zeros((0, net.input_len)))
     except (IndexError, KeyError, TypeError, ValueError, RecursionError,
             ShapeError, ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc

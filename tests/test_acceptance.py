@@ -12,11 +12,10 @@ import pytest
 
 from aae import active, graphmodel, oracle
 from aae.cli import generate_labeled_corpus, main as cli_main
-from aae.classifiers import Architecture, build, conv_output_lengths, \
-    predict, train
+from aae.classifiers import Architecture, build, predict, train
 from aae.features import PAD_VALUE, StorageConfig
 from aae.graphmodel import OperationKind, WorkloadProfile
-from aae.nn import Conv1D, MaxPool1D
+from aae.nn import Conv1D, MaxPool1D, conv_lengths
 
 from test_nn import check_gradients, small_conv_network, small_gru_network
 
@@ -90,9 +89,9 @@ def test_criterion_2_architecture_shapes():
     }
     ok = True
     for arch, lengths in expected.items():
-        ok &= conv_output_lengths(arch, 256) == lengths
-        # confirm with an actual forward pass through each layer
         net = build(arch, 256, seed=0)
+        ok &= conv_lengths(net.layers, 256) == lengths
+        # confirm with an actual forward pass through each layer
         out = rng.normal(size=(1, 1, 256))
         observed = []
         for layer in net.layers:

@@ -7,15 +7,14 @@ from aae import classifiers
 from aae.classifiers import (
     Architecture,
     build,
-    conv_output_lengths,
     predict,
     predict_batch,
     train,
 )
 from aae.cli import generate_labeled_corpus
 from aae.errors import ShapeError, ValidationError
-from aae.features import EvaluationInstance
-from aae.nn import GRU, Conv1D, covering_length, load_network, save_network
+from aae.features import PAD_VALUE, EvaluationInstance
+from aae.nn import GRU, Conv1D, conv_lengths, load_network, save_network
 
 
 def make_instance(rng, length=64, real=44, label=None):
@@ -38,10 +37,11 @@ def separable_corpus(n=200, length=96, real=76, pivot=70, seed=0):
 
 class TestBuild:
     def test_scnn_layer_lengths(self):
-        assert conv_output_lengths("scnn", 256) == [254, 252, 84, 82, 80, 26]
+        assert conv_lengths(build("scnn", 256).layers, 256) == \
+            [254, 252, 84, 82, 80, 26]
 
     def test_dcnn_layer_lengths(self):
-        assert conv_output_lengths("dcnn", 256) == \
+        assert conv_lengths(build("dcnn", 256).layers, 256) == \
             [254, 252, 84, 82, 80, 26, 24, 22, 7]
 
     def test_scnn_dense_width(self):
@@ -80,16 +80,33 @@ class TestBuild:
         assert "scnn layer" in str(exc.value)
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
-    def test_covering_length_inverts_output_lengths(self, arch):
-        layers = build(arch, 256).layers
-        for positions in range(1, 27):
-            length = covering_length(layers, positions)
-            assert conv_output_lengths(arch, length)[-1] == positions
-            if positions > 1:
-                assert conv_output_lengths(arch, length - 1)[-1] == \
-                    positions - 1
-        with pytest.raises(ShapeError):
-            conv_output_lengths(arch, covering_length(layers, 1) - 1)
+    def test_cut_is_the_shortest_covering_prefix(self, arch):
+        for length in (256, 320):
+            net = build(arch, length)
+
+            def positions(n):
+                try:
+                    return conv_lengths(net.layers, n)[-1]
+                except ShapeError:
+                    return 0
+
+            out_len = positions(length)
+            shortest = {p: next(n for n in range(1, length + 1)
+                                if positions(n) >= p)
+                        for p in range(1, out_len + 1)}
+            for p in range(1, out_len + 1):
+                # Output position j reads from shortest[j + 1] - shortest[1]
+                # on, so exactly p positions see one of `real` columns.
+                real = shortest[p] - shortest[1] + 1
+                for batch in (1, 3):
+                    x = np.full((batch, length), PAD_VALUE)
+                    x[0, :real] = 0.5
+                    x[1:, :real // 2] = 0.5
+                    net.forward(x)
+                    want = (batch + (p < out_len), 1, shortest[p])
+                    if want[0] * want[2] >= batch * length:
+                        want = (batch, 1, length)
+                    assert net.layers[0]._cache[0].shape == want, (length, p)
 
     def test_unknown_arch(self):
         with pytest.raises(ValidationError):
@@ -101,6 +118,11 @@ class TestBuild:
             net = build(arch, 128, seed=1)
             probs = net.forward(rng.normal(size=(3, 128)))
             assert probs.shape == (3,)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_empty_batch_gives_empty_output(self, arch):
+        net = build(arch, 256)
+        assert net.forward(np.zeros((0, 256))).shape == (0,)
 
     @settings(max_examples=30, deadline=None)
     @given(arch=st.sampled_from(list(Architecture)),

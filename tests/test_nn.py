@@ -383,6 +383,13 @@ class TestConvCut:
             for _, _, got in layer.params():
                 assert np.abs(got - want_grads.pop(0)).max() <= 1e-9
 
+    def test_stack_that_does_not_fit_raises_when_built(self):
+        first = Conv1D(3, 3, 1)
+        layers = [first, MaxPool1D(2), Flatten(), Dense(1, 3, "sigmoid")]
+        with pytest.raises(ShapeError, match=r"layer 1 \(maxpool1d\)"):
+            Network(layers, arch="t", input_len=3, seed=0)
+        assert first._cache is None  # no forward ran
+
 
 class TestGRUStepMask:
     @settings(max_examples=30, deadline=None)
@@ -588,6 +595,20 @@ class TestSerialization:
         save_network(load_network(golden), resaved)
         assert resaved.read_bytes() == golden.read_bytes()
 
+    def test_long_input_len_runs_no_gru_step(self, tmp_path):
+        # A one-scalar step divides any input_len; the check of the chain
+        # runs on zero rows, so its cost does not grow with the header's.
+        path = tmp_path / "net.txt"
+        net = Network([GRU(3), Dense(1, 3, "sigmoid")], arch="gru",
+                      input_len=5, seed=5)
+        save_network(net, path)
+        lines = path.read_text().splitlines()
+        path.write_text(
+            "\n".join(with_header(lines, input_len=2_000_000)) + "\n")
+        back = load_network(path)
+        assert back.input_len == 2_000_000
+        assert len(back.layers[0]._cache) == 0
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
         save_network(small_conv_network(seed=5), path)
@@ -614,6 +635,8 @@ class TestSerialization:
                 [lines[0], lines[1].replace('"input_len":16',
                                             '"input_len":20')] + lines[2:],
                 2),
+            "input_len too short for the conv stack": (
+                with_header(lines, input_len=4), 2),
             "non-finite values": (
                 lines[:3] + ["nan inf " + lines[3].split(" ", 2)[2]]
                 + lines[4:], 4),

@@ -148,8 +148,8 @@ def test_layer_argument_rule(name):
                     type(layer)(**{**args, field: value})
 
 
-# Ints stay small: the probe forward of a saved network allocates an input
-# of the header's input_len.
+# Ints stay small: the probe forward of a saved network runs on no rows, but
+# its scan for the real columns still has the header's input_len entries.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
     | st.text(max_size=4),
