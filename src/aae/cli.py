@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation/configuration, 3 parse, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
@@ -97,8 +98,6 @@ def generate_labeled_corpus(profile: str, count: int, seed: int):
 
 def _write_csv(path, rows: list[dict]) -> None:
     """A header of the first row's keys, then one row per dict; floats .9g."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, list(rows[0]))
         writer.writeheader()
@@ -123,78 +122,73 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    _, corpus = features.read_corpus(args.corpus)
-    if not corpus:
-        raise ValidationError(f"{args.corpus} holds no instances")
+def cmd_train(args, corpus):
     net = classifiers.build(args.arch, corpus[0].vector.size, seed=args.seed)
     log = classifiers.train(net, corpus, seed=args.seed,
                             **_train_kwargs(args))
-    _write_csv(args.out, log)
-    if args.params_out:
-        nn.save_network(net, args.params_out)
-    print(f"trained {args.arch} for {len(log)} epochs, "
-          f"final accuracy {log[-1]['accuracy']:.4f}")
-    return EXIT_OK
+    return log, net, (f"trained {args.arch} for {len(log)} epochs, "
+                      f"final accuracy {log[-1]['accuracy']:.4f}")
 
 
-def cmd_active(args) -> int:
-    _, corpus = features.read_corpus(args.corpus)
+def cmd_active(args, corpus):
     net, report = active_mod.active_loop(
         corpus, args.arch, threshold=args.threshold,
         sample_fraction=args.sample_fraction, max_rounds=args.max_rounds,
         seed=args.seed, uncertainty_sampling=args.uncertainty,
         train_kwargs=_train_kwargs(args))
-    _write_csv(args.out, report)
-    if args.params_out:
-        nn.save_network(net, args.params_out)
-    last = report[-1]
-    print(f"active run finished: {last['labeled']} labels used, "
-          f"unlabeled accuracy {last['unlabeled_accuracy']:.4f}")
-    return EXIT_OK
+    summary = (f"active run finished: {report[-1]['labeled']} labels used, "
+               f"unlabeled accuracy {report[-1]['unlabeled_accuracy']:.4f}")
+    return report, net, summary
 
 
-def cmd_sweep(args) -> int:
-    _, corpus = features.read_corpus(args.corpus)
+def cmd_sweep(args, corpus):
     rows = active_mod.train_fraction_sweep(
         corpus, args.arch, args.fractions, seed=args.seed,
         train_kwargs=_train_kwargs(args))
-    _write_csv(args.out, rows)
-    print(f"sweep over {len(rows)} fractions written to {args.out}")
-    return EXIT_OK
+    return rows, None, (f"sweep over {len(rows)} fractions written to "
+                        f"{args.out}")
 
 
-def cmd_cv(args) -> int:
-    _, corpus = features.read_corpus(args.corpus)
+def cmd_cv(args, corpus):
     result = active_mod.cross_validate(corpus, args.arch, args.folds,
                                        seed=args.seed,
                                        train_kwargs=_train_kwargs(args))
     rows = [{"fold": i, "accuracy": acc}
             for i, acc in enumerate(result["fold_accuracies"])]
     rows += [{"fold": key, "accuracy": result[key]} for key in ("mean", "std")]
-    _write_csv(args.out, rows)
-    print(f"cv mean {result['mean']:.4f} std {result['std']:.4f}")
-    return EXIT_OK
+    return rows, None, f"cv mean {result['mean']:.4f} std {result['std']:.4f}"
 
 
-def cmd_bench(args) -> int:
-    _, corpus = features.read_corpus(args.corpus)
+def cmd_bench(args, corpus):
     if len(corpus) < args.count:
         raise ValidationError(
             f"corpus has {len(corpus)} instances, need {args.count}")
     sample = corpus[:args.count]
-    input_len = sample[0].vector.size
     rows = []
     for arch in classifiers.Architecture:
-        net = classifiers.build(arch, input_len, seed=args.seed)
+        net = classifiers.build(arch, sample[0].vector.size, seed=args.seed)
         classifiers.predict(net, sample[0])  # warm up caches
         start = time.perf_counter()
         for inst in sample:
             classifiers.predict(net, inst)
         mean = (time.perf_counter() - start) / len(sample)
         rows.append({"arch": arch.value, "mean_seconds": mean})
-        print(f"{arch.value}: {mean * 1e3:.2f} ms/prediction")
+    return rows, None, "\n".join(f"{r['arch']}: {r['mean_seconds'] * 1e3:.2f} "
+                                 "ms/prediction" for r in rows)
+
+
+def run_corpus_command(command, args) -> int:
+    """Every corpus command's one path: read --corpus and refuse it empty,
+    run the command for its rows, network (or None) and summary, write the
+    rows to --out, save the network to --params-out if given, print."""
+    _, corpus = features.read_corpus(args.corpus)
+    if not corpus:
+        raise ValidationError(f"{args.corpus} holds no instances")
+    rows, net, summary = command(args, corpus)
     _write_csv(args.out, rows)
+    if getattr(args, "params_out", None):
+        nn.save_network(net, args.params_out)
+    print(summary)
     return EXIT_OK
 
 
@@ -230,13 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True, training=True):
+    def common(p, command=None, training=True):
         # A string default goes through type, so AAE_SEED is checked too.
         p.add_argument("--seed", type=_int_at_least(0),
                        default=os.environ.get("AAE_SEED", "0"))
         p.add_argument("--out", required=True)
-        if corpus:
+        if command:  # a corpus command; gen passes none
             p.add_argument("--corpus", required=True)
+            p.set_defaults(func=lambda args: run_corpus_command(command, args))
         if training:
             p.add_argument("--arch", default="scnn",
                            choices=[a.value for a in
@@ -249,19 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
                            default=classifiers.DEFAULT_LEARNING_RATE)
 
     p = sub.add_parser("gen", help="generate an oracle-labeled corpus")
-    common(p, corpus=False, training=False)
+    common(p, training=False)
     p.add_argument("--profile", default="random",
                    choices=graphmodel.profile_names())
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one classifier on a corpus")
-    common(p)
+    common(p, cmd_train)
     p.add_argument("--params-out", default=None)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("active", help="run the active-learning loop")
-    common(p)
+    common(p, cmd_active)
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--sample-fraction", type=float, default=0.1)
     p.add_argument("--max-rounds", type=_int_at_least(1), default=20)
@@ -269,22 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample lowest-confidence points instead of "
                         "uniformly")
     p.add_argument("--params-out", default=None)
-    p.set_defaults(func=cmd_active)
 
     p = sub.add_parser("sweep", help="train-fraction sweep")
-    common(p)
+    common(p, cmd_sweep)
     p.add_argument("--fractions", type=_fractions, default="0.41,0.49,0.58")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cv", help="k-fold cross-validation")
-    common(p)
+    common(p, cmd_cv)
     p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("bench", help="measure mean prediction latency")
-    common(p, training=False)
+    common(p, cmd_bench, training=False)
     p.add_argument("--count", type=_int_at_least(1), default=50)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

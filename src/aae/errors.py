@@ -51,7 +51,7 @@ def is_size(value) -> bool:
     return type(value) is int and value >= 1
 
 
-def check_header(header, fields: dict, line: int) -> None:
+def check_header(header, fields: dict, line: int | None) -> None:
     """A ParseError at `line` unless each field in `fields` passes its rule."""
     if type(header) is not dict:
         raise ParseError("header is not a JSON object", line=line)

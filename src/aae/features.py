@@ -167,11 +167,23 @@ def instance_from_record(line: str | bytes, lineno: int | None = None) -> Evalua
 
 
 def write_corpus(path, header: dict, instances) -> None:
+    """Refuses what read_corpus would, and leaves an empty file."""
+    header = {"format": "aae-corpus-v1", **header}
     with open(path, "w") as fh:
-        fh.write(json.dumps({"format": "aae-corpus-v1", **header},
-                            separators=(",", ":")) + "\n")
+        try:
+            check_header(header, _CORPUS_HEADER, line=None)
+        except ParseError as exc:
+            raise ValidationError(str(exc)) from exc
+        if header["count"] != len(instances):
+            raise ValidationError(f"header count {header['count']} is not "
+                                  f"the {len(instances)} instances given")
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for index, inst in enumerate(instances):
             try:
+                if inst.vector.size != header["max_len"]:
+                    raise ValidationError(
+                        f"vector has length {inst.vector.size}, the "
+                        f"header's max_len is {header['max_len']}")
                 fh.write(instance_to_record(inst) + "\n")
             except ValidationError as exc:
                 fh.truncate(0)  # not a shorter corpus that reads cleanly

@@ -96,7 +96,18 @@ class Layer:
         return {"kind": self.kind, **self._args}
 
 
-class Conv1D(Layer):
+class WindowLayer(Layer):
+    """Output position j reads the input from j * stride through
+    j * stride + stride + reach - 1; a trailing remainder is dropped."""
+
+    def output_length(self, length: int) -> int:
+        if length < self.stride + self.reach:
+            raise ShapeError(f"{self.kind} needs input length >= "
+                             f"{self.stride + self.reach}, got {length}")
+        return (length - self.reach) // self.stride
+
+
+class Conv1D(WindowLayer):
     """Valid cross-correlation, stride 1, optional tanh."""
 
     kind = "conv1d"
@@ -106,6 +117,7 @@ class Conv1D(Layer):
                  activation: str = "linear"):
         super().__init__(filters=filters, kernel_size=kernel_size,
                          in_channels=in_channels, activation=activation)
+        self.stride, self.reach = 1, kernel_size - 1
         self.W = np.zeros((filters, in_channels, kernel_size))
         self.b = np.zeros(filters)
         self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
@@ -115,13 +127,6 @@ class Conv1D(Layer):
         fan_out = self.filters * self.kernel_size
         self.W = _glorot_uniform(rng, self.W.shape, fan_in, fan_out)
         self.b = np.zeros(self.filters)
-
-    def output_length(self, length: int) -> int:
-        if length < self.kernel_size:
-            raise ShapeError(
-                f"conv1d needs input length >= {self.kernel_size}, "
-                f"got {length}")
-        return length - self.kernel_size + 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -154,20 +159,14 @@ class Conv1D(Layer):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
 
-class MaxPool1D(Layer):
+class MaxPool1D(WindowLayer):
     """Non-overlapping max pooling; remainder positions are dropped."""
 
     kind = "maxpool1d"
 
     def __init__(self, pool_size: int):
         super().__init__(pool_size=pool_size)
-
-    def output_length(self, length: int) -> int:
-        if length < self.pool_size:
-            raise ShapeError(
-                f"maxpool1d needs input length >= {self.pool_size}, "
-                f"got {length}")
-        return length // self.pool_size
+        self.stride, self.reach = pool_size, 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, channels, length = x.shape
@@ -364,12 +363,12 @@ class GRU(Layer):
 
 
 def conv_lengths(layers, length: int) -> list[int]:
-    """Output length of each leading Conv1D or MaxPool1D layer on an input
-    of `length`; a ShapeError names the first layer the input is too short
-    for."""
+    """Output length of each leading WindowLayer (Conv1D or MaxPool1D) on an
+    input of `length`; a ShapeError names the first layer the input is too
+    short for."""
     lengths = []
     for i, layer in enumerate(layers):
-        if not isinstance(layer, (Conv1D, MaxPool1D)):
+        if not isinstance(layer, WindowLayer):
             break
         try:
             length = layer.output_length(length)
@@ -402,10 +401,8 @@ class Network:
             lengths = conv_lengths(layers, input_len)
             self._depth, self._out_len = len(lengths), lengths[-1]
             for layer in layers[:self._depth]:
-                if layer.kind == "conv1d":
-                    self._reach += (layer.kernel_size - 1) * self._stride
-                else:
-                    self._stride *= layer.pool_size
+                self._reach += layer.reach * self._stride
+                self._stride *= layer.stride
         # How many stack output positions the last forward computed from the
         # rows themselves when it filled the rest from a pad row, else None.
         self._pad_row = None

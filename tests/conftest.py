@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from aae import graphmodel
-from aae.features import StorageConfig
+from aae.features import StorageConfig, instance_to_record
 from aae.oracle import cost_params
 
 
@@ -11,6 +13,15 @@ def corpus_header(count=0, max_len=1, **fields):
     format), for `count` records of length `max_len`, with `fields` set."""
     return {"profile": "test", "seed": 0, "count": count, "max_len": max_len,
             "cost_params": cost_params(), **fields}
+
+
+def write_unchecked(path, header, instances):
+    """A corpus file of `header` and `instances`, written without
+    write_corpus's checks, for testing what read_corpus refuses."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"format": "aae-corpus-v1", **header}) + "\n")
+        for inst in instances:
+            fh.write(instance_to_record(inst) + "\n")
 
 
 def numeric_gradient(loss_fn, array, eps=1e-4):

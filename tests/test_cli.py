@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -123,7 +124,29 @@ def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
     code = run(command, "--corpus", str(empty), "--out",
                str(tmp_path / "o.csv"))
     assert code == EXIT_VALIDATION
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {empty} holds no instances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["train", "--epochs", "1"],
+     "trained scnn for 1 epochs, final accuracy 0.5333\n"),
+    (["active", "--max-rounds", "1", "--epochs", "1"],
+     "active run finished: 30 labels used, unlabeled accuracy 0.5407\n"),
+    (["sweep", "--fractions", "0.5", "--epochs", "1"],
+     "sweep over 1 fractions written to {out}\n"),
+    (["cv", "--folds", "2", "--epochs", "1"], "cv mean 0.5267 std 0.0333\n"),
+    (["bench", "--count", "1"],
+     r"scnn: \d+\.\d\d ms/prediction\ndcnn: \d+\.\d\d ms/prediction\n"
+     r"gru: \d+\.\d\d ms/prediction\n"),
+])
+def test_stdout(argv, stdout, corpus_path, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--corpus", corpus_path, "--out", str(out)) == EXIT_OK
+    printed = capsys.readouterr().out
+    if argv[0] == "bench":
+        assert re.fullmatch(stdout, printed)
+    else:
+        assert printed == stdout.format(out=out)
 
 
 @pytest.mark.parametrize("argv,header", [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aae import graphmodel
+from aae.cli import generate_labeled_corpus
 from aae.errors import CapacityError, ParseError, ValidationError
 from aae.features import (
     DEFAULT_MAX_LEN,
@@ -24,7 +25,7 @@ from aae.features import (
 )
 from aae.graphmodel import GraphStats, WorkloadProfile
 from aae.oracle import cost_params
-from conftest import corpus_header
+from conftest import corpus_header, write_unchecked
 
 
 def minimal_stats():
@@ -221,7 +222,10 @@ class TestCorpusSerialization:
             read_corpus(path)
 
         def assert_refused(field, header, instances):
-            write_corpus(path, header, instances)
+            # write_corpus refuses what read_corpus would, with no line.
+            with pytest.raises(ValidationError, match=f"^header {field} "):
+                write_corpus(path, header, instances)
+            write_unchecked(path, header, instances)
             with pytest.raises(ParseError, match=field) as exc:
                 read_corpus(path)
             assert exc.value.line == 1, header[field]
@@ -374,3 +378,31 @@ class TestCorpusSerialization:
         with pytest.raises(ParseError, match="max_len") as exc:
             read_corpus(path)
         assert exc.value.line == 2
+
+    @pytest.fixture
+    def random_corpus(self):
+        return generate_labeled_corpus("random", 3, 1)
+
+    def assert_write_refused(self, tmp_path, match, header, instances):
+        path = tmp_path / "corpus.jsonl"
+        with pytest.raises(ValidationError, match=match):
+            write_corpus(path, header, instances)
+        assert path.read_bytes() == b""
+
+    def test_write_refuses_count_not_the_records(self, tmp_path,
+                                                 random_corpus):
+        header, instances = random_corpus
+        self.assert_write_refused(tmp_path, "^header count 5 is not the 3 ",
+                                  {**header, "count": 5}, instances)
+
+    def test_write_refuses_record_not_max_len(self, tmp_path, random_corpus):
+        header, instances = random_corpus
+        self.assert_write_refused(
+            tmp_path, "^record 0: vector has length 256, the header's "
+                      "max_len is 300", {**header, "max_len": 300}, instances)
+
+    def test_write_refuses_other_cost_params(self, tmp_path, random_corpus):
+        header, instances = random_corpus
+        self.assert_write_refused(tmp_path, "^header cost_params ",
+                                  {**header, "cost_params": {"x": 1}},
+                                  instances)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aae import graphmodel, oracle
-from aae.errors import ParseError
+from aae.errors import ParseError, ValidationError
 from aae.features import StorageConfig, read_corpus, write_corpus
 from aae.graphmodel import (
     CATEGORY_KINDS,
@@ -21,7 +21,7 @@ from aae.oracle import (
     op_cost,
     workload_cost,
 )
-from conftest import corpus_header
+from conftest import corpus_header, write_unchecked
 
 
 def stats(nodes=100, edges=50, props=3):
@@ -213,7 +213,10 @@ class TestCostParamsValidation:
 
     def assert_refused(self, tmp_path, bad):
         path = tmp_path / "corpus.jsonl"
-        write_corpus(path, corpus_header(cost_params=bad), [])
+        header = corpus_header(cost_params=bad)
+        with pytest.raises(ValidationError, match="cost_params"):
+            write_corpus(path, header, [])
+        write_unchecked(path, header, [])
         with pytest.raises(ParseError, match="cost_params") as exc:
             read_corpus(path)
         assert exc.value.line == 1, bad
