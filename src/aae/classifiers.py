@@ -15,7 +15,13 @@ HIDDEN_SIZE = 32
 # enough for plain SGD to carry gradients across the whole feature vector.
 GRU_STEP = 8
 DEFAULT_EPOCHS = 50
+# The batch that steps at `learning_rate`; other batches step in proportion
+# to their size (the linear scaling rule: Goyal et al., 2017, "Accurate,
+# Large Minibatch SGD").
 DEFAULT_BATCH_SIZE = 32
+# A GRU step is bound by its numpy call count, not its arithmetic, so a GRU
+# trains on fewer, larger batches by default.
+GRU_BATCH_SIZE = 128
 DEFAULT_LEARNING_RATE = 0.01
 
 # Early stop when loss improvement stays below this over PATIENCE epochs.
@@ -86,10 +92,15 @@ def _stack_vectors(instances: list[EvaluationInstance]) -> np.ndarray:
 
 
 def train(net: Network, corpus: list[EvaluationInstance],
-          epochs: int = DEFAULT_EPOCHS, batch_size: int = DEFAULT_BATCH_SIZE,
+          epochs: int = DEFAULT_EPOCHS, batch_size: int | None = None,
           learning_rate: float = DEFAULT_LEARNING_RATE,
           seed: int = 0) -> list[dict]:
     """Mini-batch SGD over stratified seeded shuffles of the corpus.
+
+    `batch_size` None means GRU_BATCH_SIZE for a network whose first layer
+    is a GRU, DEFAULT_BATCH_SIZE otherwise. `learning_rate` is the rate of a
+    DEFAULT_BATCH_SIZE-row batch: a batch of b rows steps at
+    learning_rate * b / DEFAULT_BATCH_SIZE.
 
     Returns one log entry per epoch: epoch index, mean loss, and training
     accuracy (measured on the pre-update batch predictions). Stops early on
@@ -100,6 +111,10 @@ def train(net: Network, corpus: list[EvaluationInstance],
     if any(inst.label is None for inst in corpus):
         raise ValidationError("training instances must be labeled")
     y = np.array([inst.label for inst in corpus], dtype=np.float64)
+    if batch_size is None:
+        batch_size = (GRU_BATCH_SIZE if net.layers[0].kind == "gru"
+                      else DEFAULT_BATCH_SIZE)
+    rate = learning_rate * (batch_size / DEFAULT_BATCH_SIZE)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     log: list[dict] = []
@@ -112,7 +127,7 @@ def train(net: Network, corpus: list[EvaluationInstance],
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             loss, probs = net.loss_and_backward(x[idx], y[idx])
-            net.sgd_step(learning_rate)
+            net.sgd_step(rate)
             total_loss += loss * idx.size
             correct += int(((probs >= 0.5) == (y[idx] == 1)).sum())
         mean_loss = total_loss / n

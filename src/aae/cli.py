@@ -177,17 +177,36 @@ def cmd_bench(args, corpus):
                                  "ms/prediction" for r in rows)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError, creating nothing, if `open(path, "w")` would fail."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise OSError(f"cannot write {path}: {reason}")
+
+
 def run_corpus_command(command, args) -> int:
     """Every corpus command's one path: read --corpus and refuse it empty,
     run the command for its rows, network (or None) and summary, write the
-    rows to --out, save the network to --params-out if given, print."""
+    rows to --out, save the network to --params-out if given, print. An
+    output path that cannot be written is refused before the command runs."""
     _, corpus = features.read_corpus(args.corpus)
     if not corpus:
         raise ValidationError(f"{args.corpus} holds no instances")
+    params_out = getattr(args, "params_out", None)
+    for path in (args.out, params_out):
+        if path:
+            _check_writable(path)
     rows, net, summary = command(args, corpus)
     _write_csv(args.out, rows)
-    if getattr(args, "params_out", None):
-        nn.save_network(net, args.params_out)
+    if params_out:
+        nn.save_network(net, params_out)
     print(summary)
     return EXIT_OK
 
@@ -239,9 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=_int_at_least(1),
                            default=classifiers.DEFAULT_EPOCHS)
             p.add_argument("--batch-size", type=_int_at_least(1),
-                           default=classifiers.DEFAULT_BATCH_SIZE)
+                           help="rows per SGD step (default: "
+                                f"{classifiers.GRU_BATCH_SIZE} for gru, "
+                                f"{classifiers.DEFAULT_BATCH_SIZE} for "
+                                "scnn and dcnn)")
             p.add_argument("--lr", type=_positive_float,
-                           default=classifiers.DEFAULT_LEARNING_RATE)
+                           default=classifiers.DEFAULT_LEARNING_RATE,
+                           help="learning rate of a "
+                                f"{classifiers.DEFAULT_BATCH_SIZE}-row "
+                                "batch; a batch of b rows steps at "
+                                f"lr * b / {classifiers.DEFAULT_BATCH_SIZE} "
+                                "(default: %(default)s)")
 
     p = sub.add_parser("gen", help="generate an oracle-labeled corpus")
     common(p, training=False)

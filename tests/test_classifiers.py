@@ -35,6 +35,11 @@ def separable_corpus(n=200, length=96, real=76, pivot=70, seed=0):
     return out
 
 
+def weights(net):
+    """Every parameter tensor's bytes, in order."""
+    return [value.tobytes() for _, _, value in net.parameter_tensors()]
+
+
 class TestBuild:
     def test_scnn_layer_lengths(self):
         assert conv_lengths(build("scnn", 256).layers, 256) == \
@@ -226,6 +231,32 @@ class TestTrain:
         net = build(arch, 96, seed=0)
         log = train(net, corpus, epochs=100, seed=0, learning_rate=0.05)
         assert log[-1]["accuracy"] >= 0.95
+
+    @pytest.mark.parametrize("arch,batch_size", [("scnn", 32), ("gru", 128)])
+    def test_default_batch_by_first_layer(self, arch, batch_size):
+        # The conv networks keep 32-row batches at the given rate, bit for
+        # bit; a GRU defaults to 128.
+        corpus = separable_corpus(n=150)
+        runs = []
+        for kwargs in ({}, {"batch_size": batch_size}):
+            net = build(arch, 96, seed=1)
+            log = train(net, corpus, epochs=3, seed=2, **kwargs)
+            runs.append((log, weights(net)))
+        assert runs[0] == runs[1]
+
+    def test_rate_scales_with_the_batch(self):
+        # One 64-row batch steps at twice the rate of a 32-row one.
+        corpus = separable_corpus(n=64)
+        x = np.stack([inst.vector for inst in corpus])
+        y = np.array([inst.label for inst in corpus], dtype=np.float64)
+        lr = 0.05
+        trained, by_hand = build("gru", 96, seed=0), build("gru", 96, seed=0)
+        train(trained, corpus, epochs=1, batch_size=64, learning_rate=lr,
+              seed=4)
+        order = classifiers._stratified_order(np.random.default_rng(4), y)
+        by_hand.loss_and_backward(x[order], y[order])
+        by_hand.sgd_step(2 * lr)
+        assert weights(trained) == weights(by_hand)
 
 
 class TestPredict:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from aae import classifiers
 from aae.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -192,6 +194,38 @@ class TestTrain:
             err = capsys.readouterr().err
             assert "error: training diverged: epoch 0" in err, lr
             assert not log.exists() and not params.exists()
+
+    @pytest.mark.parametrize("option,where", [
+        ("--out", "nodir/log.csv"), ("--params-out", "nodir/net.txt"),
+        ("--out", "."), ("--params-out", ".")])
+    def test_unwritable_output_refused_before_training(
+            self, option, where, corpus_path, tmp_path, monkeypatch, capsys):
+        # A path in a missing directory, or one that is a directory, exits 4
+        # before any training, and no output file is left.
+        def never(*args, **kwargs):
+            raise AssertionError("training ran before the paths were checked")
+
+        monkeypatch.setattr(classifiers, "train", never)
+        paths = {"--out": tmp_path / "log.csv",
+                 "--params-out": tmp_path / "net.txt"}
+        paths[option] = tmp_path / where
+        code = run("train", "--corpus", corpus_path, "--epochs", "30",
+                   *(str(a) for item in paths.items() for a in item))
+        assert code == EXIT_IO
+        assert (f"error: cannot write {paths[option]}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "log.csv").exists()
+        assert not (tmp_path / "net.txt").exists()
+
+    def test_gru_defaults_to_128_row_batches(self, corpus_path, tmp_path):
+        outs = []
+        for extra in ([], ["--batch-size", "128"], ["--batch-size", "32"]):
+            out = tmp_path / f"log{len(outs)}.csv"
+            assert run("train", "--corpus", corpus_path, "--arch", "gru",
+                       "--epochs", "5", "--seed", "0", *extra,
+                       "--out", str(out)) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] != outs[2]
 
     def test_seeded_rerun_byte_identical(self, corpus_path, tmp_path):
         outs = []

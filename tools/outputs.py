@@ -15,12 +15,18 @@ With --against, the copy of this script in a `git worktree` of REV, under a
 temporary directory, writes REV's set to OUTDIR/parent, and the working
 tree's copy writes OUTDIR/change, each in a child process. Each file that
 differs, or that only one side wrote, is listed, and the exit code is 1 if
-there is any. The worktree is removed afterwards, also when
-SIGTERM or SIGINT stops the run. OUTDIR should not hold an earlier set.
+there is any. A CSV or params file that both sides wrote is listed with the
+largest absolute difference over its numeric fields, with "shapes differ"
+when the two files' lines or fields do not pair up, or with "text differs"
+when a field that is not a number differs. The worktree is removed
+afterwards, also when SIGTERM or SIGINT stops the run. OUTDIR should not
+hold an earlier set.
 """
 import argparse
 import filecmp
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +80,24 @@ def write_set(checkout: Path, out: Path) -> None:
         sys.exit(f"{script} {out} failed")
 
 
+def difference(a: Path, b: Path) -> str:
+    """How two CSV or params files differ: the largest absolute difference
+    over their numeric fields, "shapes differ" when their lines or fields do
+    not pair up, or "text differs" when a field that is not a number does."""
+    fields = [[re.split(r"[,\s]+", line.strip())
+               for line in path.read_text().splitlines()] for path in (a, b)]
+    if list(map(len, fields[0])) != list(map(len, fields[1])):
+        return "shapes differ"
+    largest = 0.0
+    for x, y in zip(itertools.chain(*fields[0]), itertools.chain(*fields[1])):
+        try:
+            largest = max(largest, abs(float(x) - float(y)))
+        except ValueError:
+            if x != y:
+                return "text differs"
+    return f"largest difference {largest:.3g}"
+
+
 def compare_with(rev: str, out: Path) -> int:
     """Write rev's set and the working tree's under out, list the files that
     differ, and return 1 if any do."""
@@ -89,7 +113,10 @@ def compare_with(rev: str, out: Path) -> int:
                       and filecmp.cmp(parent / name, change / name,
                                       shallow=False))]
     for name in differ:
-        print(f"differs: {name}")
+        pair = (parent / name, change / name)
+        how = (f" ({difference(*pair)})" if name.endswith((".csv", ".params"))
+               and all(path.is_file() for path in pair) else "")
+        print(f"differs: {name}{how}")
     print(f"{len(differ)} of {len(names)} files differ from {rev[:7]}")
     return 1 if differ else 0
 

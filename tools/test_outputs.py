@@ -47,8 +47,31 @@ def test_against_lists_the_files_that_differ(tmp_path, monkeypatch, capsys,
     lines = capsys.readouterr().out.splitlines()
     if changed:
         assert code == 1
-        assert lines == ["differs: moved.csv", "differs: new.csv",
+        assert lines == ["differs: moved.csv (text differs)",
+                         "differs: new.csv",
                          f"2 of 3 files differ from {head[:7]}"]
     else:
         assert code == 0
         assert lines == [f"0 of 2 files differ from {head[:7]}"]
+
+
+def test_against_gives_the_largest_difference(tmp_path, monkeypatch, capsys):
+    def write_set(checkout, out):
+        out.mkdir()
+        change = checkout == ROOT
+        (out / "log.csv").write_text(f"epoch,loss\n0,{0.5 + 0.25 * change}"
+                                     "\n1,-2\n")
+        (out / "net.params").write_text("tensor 0 W 1 2\n"
+                                        f"1 {3 - 1e-3 * change}\n")
+        (out / "cut.csv").write_text("a\n1\n" + "2\n" * change)
+        (out / "gen.jsonl").write_text(str(change))
+
+    monkeypatch.setattr(outputs, "write_set", write_set)
+    assert outputs.compare_with("HEAD", tmp_path) == 1
+    head = git("rev-parse", "HEAD")
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: cut.csv (shapes differ)",
+        "differs: gen.jsonl",
+        "differs: log.csv (largest difference 0.25)",
+        "differs: net.params (largest difference 0.001)",
+        f"4 of 4 files differ from {head[:7]}"]
