@@ -1,5 +1,5 @@
 """Command-line surface: corpus generation, training, active runs, sweeps,
-cross-validation, and latency benchmarking.
+cross-validation, and prediction with a saved network.
 
 Exit codes: 0 success, 2 validation/configuration, 3 parse, 4 I/O.
 """
@@ -159,28 +159,22 @@ def cmd_cv(args, corpus):
     return rows, None, f"cv mean {result['mean']:.4f} std {result['std']:.4f}"
 
 
-def cmd_bench(args, corpus):
-    if len(corpus) < args.count:
-        raise ValidationError(
-            f"corpus has {len(corpus)} instances, need {args.count}")
-    sample = corpus[:args.count]
-    rows = []
-    for arch in classifiers.Architecture:
-        net = classifiers.build(arch, sample[0].vector.size, seed=args.seed)
-        classifiers.predict(net, sample[0])  # warm up caches
-        start = time.perf_counter()
-        for inst in sample:
-            classifiers.predict(net, inst)
-        mean = (time.perf_counter() - start) / len(sample)
-        rows.append({"arch": arch.value, "mean_seconds": mean})
-    return rows, None, "\n".join(f"{r['arch']}: {r['mean_seconds'] * 1e3:.2f} "
-                                 "ms/prediction" for r in rows)
+def cmd_predict(args, corpus):
+    net = nn.load_network(args.params)
+    start = time.perf_counter()
+    probabilities = classifiers.predict_batch(net, corpus).tolist()
+    rate = len(corpus) / (time.perf_counter() - start)
+    return ([{"probability": p} for p in probabilities], None,
+            f"predicted {len(corpus)} rows, {rate:.0f} rows/s")
 
 
-def _check_writable(path: str) -> None:
-    """Raise OSError, creating nothing, if `open(path, "w")` would fail."""
+def _check_writable(path: str, taken: set) -> None:
+    """Raise OSError, creating nothing, if `open(path, "w")` would fail or
+    would replace a file whose real path is in `taken`."""
     folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
+    if os.path.realpath(path) in taken:
+        reason = "it is also an input or the other output"
+    elif not os.path.isdir(folder):
         reason = f"no directory {folder}"
     elif os.path.isdir(path):
         reason = "it is a directory"
@@ -195,14 +189,18 @@ def run_corpus_command(command, args) -> int:
     """Every corpus command's one path: read --corpus and refuse it empty,
     run the command for its rows, network (or None) and summary, write the
     rows to --out, save the network to --params-out if given, print. An
-    output path that cannot be written is refused before the command runs."""
+    output path that cannot be written, or that names --corpus, --params or
+    the other output, is refused before the command runs."""
     _, corpus = features.read_corpus(args.corpus)
     if not corpus:
         raise ValidationError(f"{args.corpus} holds no instances")
     params_out = getattr(args, "params_out", None)
+    taken = {os.path.realpath(path) for path in
+             (args.corpus, getattr(args, "params", None)) if path}
     for path in (args.out, params_out):
         if path:
-            _check_writable(path)
+            _check_writable(path, taken)
+            taken.add(os.path.realpath(path))
     rows, net, summary = command(args, corpus)
     _write_csv(args.out, rows)
     if params_out:
@@ -299,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_cv)
     p.add_argument("--folds", type=int, default=5)
 
-    p = sub.add_parser("bench", help="measure mean prediction latency")
-    common(p, cmd_bench, training=False)
-    p.add_argument("--count", type=_int_at_least(1), default=50)
+    p = sub.add_parser("predict", help="score a corpus with a saved network")
+    common(p, cmd_predict, training=False)
+    p.add_argument("--params", required=True)
 
     return parser
 

@@ -562,7 +562,7 @@ def load_network(path) -> Network:
         # no rows, no GRU step runs.
         net.forward(np.zeros((0, net.input_len)))
     except (IndexError, KeyError, TypeError, ValueError, RecursionError,
-            ShapeError, ValidationError) as exc:
+            MemoryError, ShapeError, ValidationError) as exc:
         raise ParseError(f"bad network header: {exc}", line=2) from exc
 
     # Exactly the network's tensors, in order: a header line, then values.

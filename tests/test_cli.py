@@ -17,6 +17,7 @@ from aae.cli import (
 )
 from aae.errors import ValidationError
 from aae.features import read_corpus
+from aae.nn import load_network, save_network
 from aae.oracle import cost_params
 from conftest import corpus_header
 
@@ -35,6 +36,14 @@ def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "corpus.jsonl"
     assert run("gen", "--profile", "freebase-small", "--count", "300",
                "--seed", "7", "--out", str(path)) == EXIT_OK
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def params_path(tmp_path_factory):
+    """An untrained scnn saved for corpus_path's 256-entry vectors."""
+    path = tmp_path_factory.mktemp("net") / "net.txt"
+    save_network(classifiers.build("scnn", 256, seed=0), path)
     return str(path)
 
 
@@ -91,7 +100,7 @@ class TestGen:
     (["train", "--epochs", "0"], None),
     (["train", "--batch-size", "0"], None),
     (["active", "--max-rounds", "0"], None),
-    (["bench", "--count", "0"], None),
+    (["predict"], None),
     (["train"], "abc"),
     (["sweep", "--fractions", "0.5,abc"], None),
     (["train", "--lr", "nan"], None),
@@ -118,12 +127,14 @@ def test_bad_arguments_exit_2(argv, env_seed, corpus_path, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["train", "active", "sweep", "cv",
-                                     "bench"])
-def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
+                                     "predict"])
+def test_header_only_corpus_exits_2(command, corpus_path, params_path,
+                                    tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     with open(corpus_path) as fh:  # whole, as its header counts no records
         empty.write_text(fh.readline().replace('"count":300', '"count":0'))
-    code = run(command, "--corpus", str(empty), "--out",
+    params = ["--params", params_path] if command == "predict" else []
+    code = run(command, *params, "--corpus", str(empty), "--out",
                str(tmp_path / "o.csv"))
     assert code == EXIT_VALIDATION
     assert f"error: {empty} holds no instances" in capsys.readouterr().err
@@ -137,15 +148,14 @@ def test_header_only_corpus_exits_2(command, corpus_path, tmp_path, capsys):
     (["sweep", "--fractions", "0.5", "--epochs", "1"],
      "sweep over 1 fractions written to {out}\n"),
     (["cv", "--folds", "2", "--epochs", "1"], "cv mean 0.5267 std 0.0333\n"),
-    (["bench", "--count", "1"],
-     r"scnn: \d+\.\d\d ms/prediction\ndcnn: \d+\.\d\d ms/prediction\n"
-     r"gru: \d+\.\d\d ms/prediction\n"),
+    (["predict", "--params", "{params}"], r"predicted 300 rows, \d+ rows/s\n"),
 ])
-def test_stdout(argv, stdout, corpus_path, tmp_path, capsys):
+def test_stdout(argv, stdout, corpus_path, params_path, tmp_path, capsys):
     out = tmp_path / "o.csv"
+    argv = [arg.format(params=params_path) for arg in argv]
     assert run(*argv, "--corpus", corpus_path, "--out", str(out)) == EXIT_OK
     printed = capsys.readouterr().out
-    if argv[0] == "bench":
+    if argv[0] == "predict":
         assert re.fullmatch(stdout, printed)
     else:
         assert printed == stdout.format(out=out)
@@ -158,10 +168,11 @@ def test_stdout(argv, stdout, corpus_path, tmp_path, capsys):
     (["sweep", "--fractions", "0.5", "--epochs", "1"],
      "fraction,train_accuracy,test_accuracy"),
     (["cv", "--folds", "2", "--epochs", "1"], "fold,accuracy"),
-    (["bench", "--count", "1"], "arch,mean_seconds"),
+    (["predict", "--params", "{params}"], "probability"),
 ])
-def test_csv_header(argv, header, corpus_path, tmp_path):
+def test_csv_header(argv, header, corpus_path, params_path, tmp_path):
     out = tmp_path / "o.csv"
+    argv = [arg.format(params=params_path) for arg in argv]
     assert run(*argv, "--corpus", corpus_path, "--out", str(out)) == EXIT_OK
     with open(out, newline="") as fh:
         assert fh.readline() == header + "\r\n"
@@ -318,13 +329,91 @@ class TestCvCommand:
         assert code == EXIT_VALIDATION
 
 
-class TestBenchCommand:
-    def test_reports_three_architectures(self, corpus_path, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = run("bench", "--corpus", corpus_path, "--count", "50",
-                   "--seed", "0", "--out", str(out))
-        assert code == EXIT_OK
-        rows = read_csv(out)
-        assert [r[0] for r in rows[1:]] == ["scnn", "dcnn", "gru"]
-        for row in rows[1:]:
-            assert float(row[1]) < 0.05
+class TestPredictCommand:
+    @pytest.mark.parametrize("arch", ["scnn", "dcnn", "gru"])
+    def test_rows_equal_predict_batch(self, arch, corpus_path, tmp_path):
+        params, out = tmp_path / "net.txt", tmp_path / "p.csv"
+        assert run("train", "--corpus", corpus_path, "--arch", arch,
+                   "--epochs", "2", "--out", str(tmp_path / "log.csv"),
+                   "--params-out", str(params)) == EXIT_OK
+        assert run("predict", "--params", str(params), "--corpus",
+                   corpus_path, "--out", str(out)) == EXIT_OK
+        _, records = read_corpus(corpus_path)
+        expected = classifiers.predict_batch(load_network(params), records)
+        assert read_csv(out) == [["probability"],
+                                 *([f"{p:.9g}"] for p in expected)]
+
+    def test_labels_are_not_read(self, corpus_path, params_path, tmp_path):
+        unlabeled = tmp_path / "unlabeled.jsonl"
+        text = Path(corpus_path).read_text()
+        unlabeled.write_text(re.sub(r'"label":[01]', '"label":null', text))
+        assert '"label":null' in unlabeled.read_text()
+        outs = [tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"]
+        for corpus, out in zip((corpus_path, unlabeled), outs):
+            assert run("predict", "--params", params_path, "--corpus",
+                       str(corpus), "--out", str(out)) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_input_length_mismatch_exits_2(self, params_path, tmp_path,
+                                           capsys):
+        ldbc, out = tmp_path / "ldbc.jsonl", tmp_path / "p.csv"
+        assert run("gen", "--profile", "ldbc", "--count", "5", "--seed", "2",
+                   "--out", str(ldbc)) == EXIT_OK
+        code = run("predict", "--params", params_path, "--corpus", str(ldbc),
+                   "--out", str(out))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: expected input of length 256, got (5, 320)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,code,err", [
+        ("header not JSON", EXIT_PARSE, "error: line 2: bad network header"),
+        ("dense claiming 10**15 inputs", EXIT_PARSE,
+         "error: line 2: bad network header"),
+        ("missing", EXIT_IO, "error: [Errno 2] No such file or directory"),
+    ], ids=["header-not-json", "dense-claiming-1e15-inputs", "missing"])
+    def test_bad_params_file(self, case, code, err, corpus_path, params_path,
+                             tmp_path, capsys):
+        tag, header, *tensors = Path(params_path).read_text().splitlines()
+        huge = json.dumps({**json.loads(header), "input_len": 10**15,
+                           "layers": [{"kind": "dense", "units": 1,
+                                       "in_features": 10**15,
+                                       "activation": "sigmoid"}]})
+        params, out = tmp_path / "net.txt", tmp_path / "p.csv"
+        if case != "missing":
+            header = "{" if case == "header not JSON" else huge
+            params.write_text("\n".join([tag, header, *tensors]) + "\n")
+        assert run("predict", "--params", str(params), "--corpus",
+                   corpus_path, "--out", str(out)) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "{corpus}", "--out", "{dir}/./c.jsonl"],
+    ["train", "--corpus", "{corpus}", "--out", "{new}", "--params-out",
+     "{new}"],
+    ["predict", "--params", "{params}", "--corpus", "{corpus}",
+     "--out", "{params}"],
+], ids=["out-is-corpus", "params-out-is-out", "out-is-params"])
+def test_output_naming_another_file_refused(argv, corpus_path, params_path,
+                                            tmp_path, monkeypatch, capsys):
+    # Refused before any work, with the inputs' bytes kept and no file made.
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before the paths were checked")
+
+    monkeypatch.setattr(classifiers, "train", never)
+    monkeypatch.setattr(classifiers, "predict_batch", never)
+    paths = {"dir": tmp_path, "corpus": tmp_path / "c.jsonl",
+             "params": tmp_path / "net.txt", "new": tmp_path / "new.csv"}
+    paths["corpus"].write_bytes(Path(corpus_path).read_bytes())
+    paths["params"].write_bytes(Path(params_path).read_bytes())
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(*argv) == EXIT_IO
+    named = argv[-1]
+    assert capsys.readouterr().err == (
+        f"error: cannot write {named}: it is also an input or the other "
+        "output\n")
+    assert paths["corpus"].read_bytes() == Path(corpus_path).read_bytes()
+    assert paths["params"].read_bytes() == Path(params_path).read_bytes()
+    assert not paths["new"].exists()

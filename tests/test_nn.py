@@ -666,6 +666,12 @@ class TestSerialization:
                 with_header(gru_lines, **{field: value}), 2)
         bad_files["chain ends in a gru"] = (
             with_header(gru_lines, layers=gru_header["layers"][:1]), 2)
+        # 8e15 bytes of weights: numpy refuses the allocation at once, and
+        # the MemoryError is a parse error like any other bad size.
+        bad_files["dense claiming 10**15 inputs"] = (
+            with_header(gru_lines, input_len=10**15, layers=[
+                {"kind": "dense", "units": 1, "in_features": 10**15,
+                 "activation": "sigmoid"}]), 2)
         for name, (content, line) in bad_files.items():
             path.write_text("\n".join(content) + "\n",
                             errors="surrogateescape")

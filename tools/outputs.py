@@ -4,10 +4,11 @@ behaviour-preserving change must keep.
 Usage: python3 tools/outputs.py OUTDIR
        python3 tools/outputs.py --against REV OUTDIR
 
-Runs `aae.cli.main` in-process and writes 22 files to OUTDIR: three
+Runs `aae.cli.main` in-process and writes 28 files to OUTDIR: three
 generated corpora; the training CSV and params file of scnn, dcnn and gru on
-two of them; the active run of acceptance criterion 5, with and without
-uncertainty sampling; one gru sweep and two cross-validations. BLAS runs on
+two of them, and the predictions of each params file on its own corpus; the
+active run of acceptance criterion 5, with and without uncertainty
+sampling; one gru sweep and two cross-validations. BLAS runs on
 one thread unless OPENBLAS_NUM_THREADS is already set, since threaded sums
 may round differently.
 
@@ -53,6 +54,9 @@ def runs(out: Path):
             yield ["train", "--corpus", corpus[name], "--arch", arch,
                    "--epochs", "8", "--seed", "3", "--out", f"{stem}.csv",
                    "--params-out", f"{stem}.params"]
+            yield ["predict", "--corpus", corpus[name], "--params",
+                   f"{stem}.params", "--out",
+                   str(out / f"predict-{arch}-{name}.csv")]
     for extra in ([], ["--uncertainty"]):
         stem = out / ("active-gru" + "-uncertainty" * bool(extra))
         yield ["active", "--corpus", corpus["freebase-small"], *ACTIVE,
