@@ -5,7 +5,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError, ValidationError
+from .errors import (ConfigurationError, DivergenceError, ShapeError,
+                     ValidationError)
 from .features import EvaluationInstance
 from .nn import (GRU, Conv1D, Dense, Flatten, MaxPool1D, Network,
                  conv_lengths)
@@ -42,7 +43,8 @@ class Architecture(str, Enum):
         try:
             return cls(name.lower())
         except ValueError:
-            raise ValidationError(f"unknown architecture {name!r}") from None
+            raise ConfigurationError(
+                f"unknown architecture {name!r}") from None
 
 
 def _conv_stack(deep: bool) -> list:

@@ -172,7 +172,9 @@ def _check_writable(path: str, taken: set) -> None:
     """Raise OSError, creating nothing, if `open(path, "w")` would fail or
     would replace a file whose real path is in `taken`."""
     folder = os.path.dirname(path) or "."
-    if os.path.realpath(path) in taken:
+    if not path:
+        reason = "the path is empty"
+    elif os.path.realpath(path) in taken:
         reason = "it is also an input or the other output"
     elif not os.path.isdir(folder):
         reason = f"no directory {folder}"
@@ -198,12 +200,12 @@ def run_corpus_command(command, args) -> int:
     taken = {os.path.realpath(path) for path in
              (args.corpus, getattr(args, "params", None)) if path}
     for path in (args.out, params_out):
-        if path:
+        if path is not None:
             _check_writable(path, taken)
             taken.add(os.path.realpath(path))
     rows, net, summary = command(args, corpus)
     _write_csv(args.out, rows)
-    if params_out:
+    if params_out is not None:
         nn.save_network(net, params_out)
     print(summary)
     return EXIT_OK

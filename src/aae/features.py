@@ -15,32 +15,14 @@ import numpy as np
 
 from .errors import (CapacityError, ParseError, ValidationError,
                      check_header, is_size)
-from .graphmodel import GraphStats, WorkloadProfile
+from .graphmodel import ENGINES, GraphStats, StorageConfig, WorkloadProfile
+from .oracle import cost_params
 
-ENGINES = ("native-graph", "columnar")
 PAD_VALUE = -1.0
 DEFAULT_MAX_LEN = 256
 # LDBC has 62 property types, which needs 277 slots; its preset bumps the
 # length to 320.
 LDBC_MAX_LEN = 320
-
-
-@dataclass(frozen=True)
-class StorageConfig:
-    """One storage solution: engine category plus per-property index bits."""
-
-    engine: str
-    index_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValidationError(f"unknown engine: {self.engine!r}")
-        if any(b not in (0, 1) for b in self.index_bits):
-            raise ValidationError("index_bits must be 0/1")
-
-    def storage_id(self) -> str:
-        bits = "".join(str(b) for b in self.index_bits)
-        return f"{self.engine}:{bits}"
 
 
 @dataclass
@@ -78,9 +60,8 @@ def extract_workload_features(w: WorkloadProfile) -> np.ndarray:
 
 def encode_storage(s: StorageConfig) -> np.ndarray:
     """Length 2 + P vector: engine one-hot then index bits."""
-    one_hot = [1.0, 0.0] if s.engine == "native-graph" else [0.0, 1.0]
-    return np.array(one_hot + [float(b) for b in s.index_bits],
-                    dtype=np.float64)
+    return np.array([float(s.engine == e) for e in ENGINES]
+                    + [float(b) for b in s.index_bits], dtype=np.float64)
 
 
 def _check_sized(s: StorageConfig, g: GraphStats, name: str) -> None:
@@ -191,7 +172,6 @@ def write_corpus(path, header: dict, instances) -> None:
 
 
 def _is_cost_model(value) -> bool:
-    from .oracle import cost_params  # oracle imports this module
     return (json.dumps(value, sort_keys=True)  # as text: a true is no 1.0
             == json.dumps(cost_params(), sort_keys=True))
 

@@ -1,4 +1,5 @@
-"""Synthetic graph-dataset statistics and workload generation.
+"""Synthetic graph-dataset statistics, workload generation, and the storage
+configurations a workload runs on.
 
 Everything here is a pure function of (arguments, seed) so corpora are
 reproducible byte-for-byte.
@@ -112,6 +113,27 @@ class WorkloadProfile:
             raise ValidationError("property_freq entries must lie in [0, 1]")
         if self.total_queries < 1:
             raise ValidationError("total_queries must be >= 1")
+
+
+ENGINES = ("native-graph", "columnar")
+
+
+@dataclass(frozen=True)
+class StorageConfig:
+    """One storage solution: engine category plus per-property index bits."""
+
+    engine: str
+    index_bits: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValidationError(f"unknown engine: {self.engine!r}")
+        if any(b not in (0, 1) for b in self.index_bits):
+            raise ValidationError("index_bits must be 0/1")
+
+    def storage_id(self) -> str:
+        bits = "".join(str(b) for b in self.index_bits)
+        return f"{self.engine}:{bits}"
 
 
 # Counts for the named dataset profiles (nodes, edges, node types, edge

@@ -12,9 +12,12 @@ real where not the pad value -1, real entries first. It hands x to layers[0]
 alone: a Conv1D gets a channel axis, a GRU gets input_size-wide steps and the
 mask of the steps holding a real entry (the Network checks when built that
 the step divides input_len), and any other layer gets x as is.
-The Layer base checks and stores constructor arguments and gives spec() and a
-no-op init and params; it holds no forward or backward (nor backward_preact),
-as the benchmark tracer patches those in each layer class's own __dict__.
+The Layer base checks and stores constructor arguments, gives spec(), and
+holds the one weight scheme: _weights gives a layer zeroed W and b, their
+gradient buffers and W's fans; init draws W from the fans and zeroes b, and
+params lists W and b (a layer without weights draws and lists nothing). It
+holds no forward or backward (nor backward_preact), as the benchmark tracer
+patches those in each layer class's own __dict__.
 
 Conv1D is K shifted matmuls, one per tap k, for each pass:
 z = sum_k W[:, :, k] @ x[:, :, k:k+L'], dW[:, :, k] = sum_b dz_b @
@@ -64,15 +67,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int,
-                    fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 class Layer:
     """Each argument is a size (an int >= 1, not a bool) or an activation from
     the class's tuple `activations`; spec() lists them in order after kind."""
+
+    _fans = None  # (fan_in, fan_out) of W, for a layer with weights
 
     def __init__(self, **args):
         for name, value in args.items():
@@ -86,11 +85,24 @@ class Layer:
         self._args = args
         self._cache = None
 
+    def _weights(self, w_shape, b_shape, fan_in: int, fan_out: int) -> None:
+        """Zeroed W and b, their gradients and W's fans. np.zeros, unlike
+        np.zeros_like, writes no page, so a size is paid for once filled."""
+        self.W, self.b = np.zeros(w_shape), np.zeros(b_shape)
+        self.dW, self.db = np.zeros(w_shape), np.zeros(b_shape)
+        self._fans = (fan_in, fan_out)
+
     def init(self, rng: np.random.Generator) -> None:
-        pass
+        """Glorot & Bengio (2010) uniform W and zero b; no draw without W."""
+        if self._fans:
+            limit = np.sqrt(6.0 / sum(self._fans))
+            self.W = rng.uniform(-limit, limit, size=self.W.shape)
+            self.b = np.zeros(self.b.shape)
 
     def params(self) -> list:
-        return []
+        if not self._fans:
+            return []
+        return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
     def spec(self) -> dict:
         return {"kind": self.kind, **self._args}
@@ -118,15 +130,8 @@ class Conv1D(WindowLayer):
         super().__init__(filters=filters, kernel_size=kernel_size,
                          in_channels=in_channels, activation=activation)
         self.stride, self.reach = 1, kernel_size - 1
-        self.W = np.zeros((filters, in_channels, kernel_size))
-        self.b = np.zeros(filters)
-        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
-
-    def init(self, rng: np.random.Generator) -> None:
-        fan_in = self.in_channels * self.kernel_size
-        fan_out = self.filters * self.kernel_size
-        self.W = _glorot_uniform(rng, self.W.shape, fan_in, fan_out)
-        self.b = np.zeros(self.filters)
+        self._weights((filters, in_channels, kernel_size), filters,
+                      in_channels * kernel_size, filters * kernel_size)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -154,9 +159,6 @@ class Conv1D(WindowLayer):
             self.dW[:, :, k] = (dz @ window.transpose(0, 2, 1)).sum(axis=0)
             dx[:, :, k:k + out_len] += self.W[:, :, k].T @ dz
         return dx
-
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
 
 class MaxPool1D(WindowLayer):
@@ -215,14 +217,7 @@ class Dense(Layer):
                  activation: str = "linear"):
         super().__init__(units=units, in_features=in_features,
                          activation=activation)
-        self.W = np.zeros((units, in_features))
-        self.b = np.zeros(units)
-        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
-
-    def init(self, rng: np.random.Generator) -> None:
-        self.W = _glorot_uniform(rng, self.W.shape, self.in_features,
-                                 self.units)
-        self.b = np.zeros(self.units)
+        self._weights((units, in_features), units, in_features, units)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -254,9 +249,6 @@ class Dense(Layer):
         self.db = dz.sum(axis=0)
         return dz @ self.W
 
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
-
 
 class GRU(Layer):
     """GRU over a masked sequence, honoring right padding.
@@ -277,14 +269,8 @@ class GRU(Layer):
 
     def __init__(self, hidden_size: int, input_size: int = 1):
         super().__init__(hidden_size=hidden_size, input_size=input_size)
-        self.W = np.zeros((3, hidden_size, hidden_size + input_size))
-        self.b = np.zeros((3, hidden_size))
-        self.dW, self.db = np.zeros_like(self.W), np.zeros_like(self.b)
-
-    def init(self, rng: np.random.Generator) -> None:
-        h, k = self.hidden_size, self.input_size
-        self.W = _glorot_uniform(rng, self.W.shape, h + k, h)
-        self.b = np.zeros((3, h))
+        self._weights((3, hidden_size, hidden_size + input_size),
+                      (3, hidden_size), hidden_size + input_size, hidden_size)
 
     def forward(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.input_size:

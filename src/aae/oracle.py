@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 
-from .features import ENGINES, StorageConfig
 from .graphmodel import (
     CATEGORY_KINDS,
+    ENGINES,
     GraphStats,
     OperationKind,
+    StorageConfig,
     WorkloadProfile,
 )
 

@@ -12,7 +12,7 @@ from aae.classifiers import (
     train,
 )
 from aae.cli import generate_labeled_corpus
-from aae.errors import ShapeError, ValidationError
+from aae.errors import ConfigurationError, ShapeError, ValidationError
 from aae.features import PAD_VALUE, EvaluationInstance
 from aae.nn import GRU, Conv1D, conv_lengths, load_network, save_network
 
@@ -114,7 +114,7 @@ class TestBuild:
                     assert net.layers[0]._cache[0].shape == want, (length, p)
 
     def test_unknown_arch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigurationError):
             build("mlp", 64)
 
     def test_forward_shapes_match_declared(self):

@@ -208,18 +208,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("option,where", [
         ("--out", "nodir/log.csv"), ("--params-out", "nodir/net.txt"),
-        ("--out", "."), ("--params-out", ".")])
+        ("--out", "."), ("--params-out", "."), ("--out", ""),
+        ("--params-out", "")])
     def test_unwritable_output_refused_before_training(
             self, option, where, corpus_path, tmp_path, monkeypatch, capsys):
-        # A path in a missing directory, or one that is a directory, exits 4
-        # before any training, and no output file is left.
+        # A path in a missing directory, one that is a directory, or an
+        # empty one exits 4 before any training, and no output file is left.
         def never(*args, **kwargs):
             raise AssertionError("training ran before the paths were checked")
 
         monkeypatch.setattr(classifiers, "train", never)
         paths = {"--out": tmp_path / "log.csv",
                  "--params-out": tmp_path / "net.txt"}
-        paths[option] = tmp_path / where
+        paths[option] = tmp_path / where if where else ""
         code = run("train", "--corpus", corpus_path, "--epochs", "30",
                    *(str(a) for item in paths.items() for a in item))
         assert code == EXIT_IO

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import aae
 from aae.classifiers import build
 from aae.errors import ParseError, ShapeError, ValidationError
 from aae.features import PAD_VALUE
@@ -594,6 +598,47 @@ class TestSerialization:
         resaved = tmp_path / "resaved.txt"
         save_network(load_network(golden), resaved)
         assert resaved.read_bytes() == golden.read_bytes()
+
+    def test_golden_conv_file(self, tmp_path):
+        # Pins the aae-net-v1 bytes of a conv/pool/dense network: the Conv1D
+        # and Dense fans, their share of the init RNG stream and the order.
+        golden = Path(__file__).parent / "data" / "conv-aae-net-v1.txt"
+        built = tmp_path / "built.txt"
+        save_network(small_conv_network(seed=7), built)
+        assert built.read_bytes() == golden.read_bytes()
+        resaved = tmp_path / "resaved.txt"
+        save_network(load_network(golden), resaved)
+        assert resaved.read_bytes() == golden.read_bytes()
+
+    def test_refuted_size_claim_costs_no_memory(self, tmp_path):
+        # A dense layer claiming 5,000,000 inputs (40 MB of weights) and a
+        # weight line of two values: the file is refuted on line 4 before
+        # the claimed sizes are ever written to.
+        path = tmp_path / "net.txt"
+        header = {"arch": "t", "input_len": 5_000_000, "seed": 0, "layers": [
+            {"kind": "dense", "units": 1, "in_features": 5_000_000,
+             "activation": "sigmoid"}]}
+        text = json.dumps(header, separators=(",", ":"))
+        path.write_text(f"aae-net-v1\n{text}\ntensor 0 W 1 5000000\n1 2\n")
+        script = (
+            "import resource, sys\n"
+            "from aae.errors import ParseError\n"
+            "from aae.nn import load_network\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_network(sys.argv[1])\n"
+            "except ParseError as exc:\n"
+            "    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    print(exc.line, (grown - before) / 1024)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(aae.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        line, grown_mb = done.stdout.split()
+        assert int(line) == 4
+        assert float(grown_mb) < 5.0
 
     def test_long_input_len_runs_no_gru_step(self, tmp_path):
         # A one-scalar step divides any input_len; the check of the chain
